@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +22,6 @@ import numpy as np
 from . import dataset as ds_mod
 from . import evaluation as ev
 from . import online as ol
-from .errors import (
-    CsvParseError,
-    DegenerateDataError,
-    ModelFormatError,
-    SchemaError,
-    UndefinedMetricError,
-)
 from .fuzzy import FcmConfig
 from .model import EsnConfig, load_model, predict, save_model
 from .trainer import ScConfig
@@ -52,31 +44,34 @@ def _bool(text):
     raise ValueError(f"expected true/false, got {text!r}")
 
 
+_SC, _FCM, _ESN = ({f.name: f.default for f in fields(cls)}
+                    for cls in (ScConfig, FcmConfig, EsnConfig))
+
 # One row per configurable key: dotted name, parser, default, help.
 CONFIG_SPEC = [
     ("q", int, 5, "number of fuzzy rules"),
     ("seed", int, 0, "master random seed"),
     ("washout", int, 100, "leading samples excluded from fits and metrics"),
     ("normalize", _bool, True, "map inputs/targets onto [-1,1] from training stats"),
-    ("sc.n_max", int, 100, "maximum sub-reservoir size"),
-    ("sc.g_max", int, 100, "candidate draws per weight scale"),
-    ("sc.epsilon", float, 1e-6, "residual F-norm tolerance"),
-    ("sc.lambda_grid", _floats, (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0), "weight scale sequence"),
-    ("sc.r_schedule", _floats, (0.9, 0.99, 0.999, 0.9999), "contraction level sequence"),
-    ("sc.sparsity_range", _floats, (0.01, 0.05), "connection density range"),
-    ("sc.alpha", float, 0.9, "spectral scaling factor"),
-    ("sc.ridge", float, 0.0, "readout regularization"),
-    ("sc.initial_size", int, 5, "initial reservoir size"),
-    ("sc.activation", str, "tanh", "tanh or sigmoid"),
-    ("fcm.m", float, 2.0, "fuzziness exponent"),
-    ("fcm.max_iter", int, 300, "clustering iteration cap"),
-    ("fcm.tol", float, 1e-5, "center movement tolerance"),
-    ("esn.n_nodes", int, 100, "baseline reservoir size"),
-    ("esn.alpha", float, 0.9, "baseline spectral scaling factor"),
-    ("esn.sparsity_range", _floats, (0.01, 0.05), "baseline density range"),
-    ("esn.ridge", float, 1e-8, "baseline readout regularization"),
-    ("esn.activation", str, "tanh", "baseline activation"),
-    ("esn.weight_scale", float, 1.0, "baseline uniform draw half-width"),
+    ("sc.n_max", int, _SC["n_max"], "maximum sub-reservoir size"),
+    ("sc.g_max", int, _SC["g_max"], "candidate draws per weight scale"),
+    ("sc.epsilon", float, _SC["epsilon"], "residual F-norm tolerance"),
+    ("sc.lambda_grid", _floats, _SC["lambda_grid"], "weight scale sequence"),
+    ("sc.r_schedule", _floats, _SC["r_schedule"], "contraction level sequence"),
+    ("sc.sparsity_range", _floats, _SC["sparsity_range"], "connection density range"),
+    ("sc.alpha", float, _SC["alpha"], "spectral scaling factor"),
+    ("sc.ridge", float, _SC["ridge"], "readout regularization"),
+    ("sc.initial_size", int, _SC["initial_size"], "initial reservoir size"),
+    ("sc.activation", str, _SC["activation"], "tanh or sigmoid"),
+    ("fcm.m", float, _FCM["m"], "fuzziness exponent"),
+    ("fcm.max_iter", int, _FCM["max_iter"], "clustering iteration cap"),
+    ("fcm.tol", float, _FCM["tol"], "center movement tolerance"),
+    ("esn.n_nodes", int, _ESN["n_nodes"], "baseline reservoir size"),
+    ("esn.alpha", float, _ESN["alpha"], "baseline spectral scaling factor"),
+    ("esn.sparsity_range", _floats, _ESN["sparsity_range"], "baseline density range"),
+    ("esn.ridge", float, _ESN["ridge"], "baseline readout regularization"),
+    ("esn.activation", str, _ESN["activation"], "baseline activation"),
+    ("esn.weight_scale", float, _ESN["weight_scale"], "baseline uniform draw half-width"),
     ("online.a", float, 1.0, "projection gain factor in (0,1]"),
     ("online.c", float, 1e-2, "gain matrix initialization constant"),
 ]
@@ -217,13 +212,12 @@ def cmd_train(args, cfg) -> int:
     train = _load_data(args.data, cfg, args)
     kind = args.model_kind
     q = 1 if kind in ("rscn", "esn") else cfg["q"]
-    threads = args.threads or os.cpu_count() or 1
     if kind in ("frscn", "rscn"):
         from .model import train_frscn
 
         model, reports = train_frscn(
             train, q=q, sc_cfg=sc, fcm_cfg=fcm, seed=cfg["seed"],
-            normalize=cfg["normalize"], threads=threads,
+            normalize=cfg["normalize"],
         )
     else:
         from .model import train_fesn
@@ -313,12 +307,11 @@ def cmd_gridsearch(args, cfg) -> int:
     test = _load_data(args.test or args.val, cfg, args)
     q_values = [int(v) for v in str(args.q_list).split(",")]
     n_values = [int(v) for v in str(args.n_list).split(",")]
-    threads = args.threads or os.cpu_count() or 1
     result = ev.grid_search(
         train, val, test, q_values=q_values, n_values=n_values,
         model_kind=args.model_kind, sc_cfg=sc, fcm_cfg=fcm, esn_cfg=esn,
         trials_per_cell=args.trials, base_seed=cfg["seed"],
-        normalize=cfg["normalize"], threads=threads,
+        normalize=cfg["normalize"],
     )
     ev.emit_report(args.out, grid=result)
     print(f"grid search over q={q_values} n={n_values}: "
@@ -356,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rscn/esn are the q=1 aliases of frscn/fesn")
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out-report", default="train_report.json")
-    p.add_argument("--threads", type=int, default=None, help="worker cap (default: cores)")
     add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -394,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="25,50,75,100")
     p.add_argument("--trials", type=int, default=3, help="trials per grid cell")
     p.add_argument("--out", default="gridsearch", help="output directory")
-    p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(func=cmd_gridsearch)
 
@@ -410,10 +401,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, CsvParseError, ModelFormatError, UndefinedMetricError,
-            DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

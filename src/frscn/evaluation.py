@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +155,6 @@ def run_trials(
     n_trials: int = 10,
     base_seed: int = 0,
     normalize: bool = True,
-    threads: int = 1,
     keep_reports: bool = False,
 ):
     """Seeded repetition: trial k runs at seed base_seed + k on fixed data.
@@ -166,27 +165,26 @@ def run_trials(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
 
-    def one(k: int):
+    results, reports = [], []
+    for k in range(n_trials):
         try:
-            _, reports, result = run_single_trial(
+            _, reps, result = run_single_trial(
                 train, val, test, model_kind, q, sc_cfg, fcm_cfg, esn_cfg,
                 seed=base_seed + k, normalize=normalize,
             )
-            return result, reports
-        except Exception as exc:  # recorded, not raised: summary needs the rest
-            return TrialResult(
+        except ValueError as exc:  # recorded, not raised: summary needs the rest
+            reps, result = [], TrialResult(
                 seed=base_seed + k,
                 train_nrmse=float("nan"),
                 val_nrmse=float("nan"),
                 test_nrmse=float("nan"),
                 error=f"{type(exc).__name__}: {exc}",
-            ), []
-
-    outcomes = _parallel_map(one, range(n_trials), threads)
-    results = [r for r, _ in outcomes]
+            )
+        results.append(result)
+        reports.append(reps)
     summary = _summarize(results)
     if keep_reports:
-        return results, summary, [reps for _, reps in outcomes]
+        return results, summary, reports
     return results, summary
 
 
@@ -222,7 +220,6 @@ def grid_search(
     trials_per_cell: int = 3,
     base_seed: int = 0,
     normalize: bool = True,
-    threads: int = 1,
 ) -> GridSearchResult:
     """Mean validation NRMSE over a (Q, N) grid; pick the minimizing cell.
 
@@ -236,27 +233,19 @@ def grid_search(
     sc_cfg = sc_cfg or ScConfig()
     esn_cfg = esn_cfg or EsnConfig()
 
-    def one_cell(args):
-        qi, ni = args
-        from dataclasses import replace
-        results, summary = run_trials(
-            train, val, test, model_kind, q=qi,
-            sc_cfg=replace(sc_cfg, n_max=ni),
-            fcm_cfg=fcm_cfg,
-            esn_cfg=replace(esn_cfg, n_nodes=ni),
-            n_trials=trials_per_cell, base_seed=base_seed, normalize=normalize,
-        )
-        return results, summary
-
-    pairs = [(qi, ni) for qi in q_values for ni in n_values]
-    outcomes = _parallel_map(one_cell, pairs, threads)
-
     surface = np.full((len(q_values), len(n_values)), np.nan)
     cells = []
-    for (qi, ni), (results, summary) in zip(pairs, outcomes):
-        iq, jn = q_values.index(qi), n_values.index(ni)
-        surface[iq, jn] = summary.mean_val if summary.n_ok else np.nan
-        cells.append({"q": qi, "n": ni, "summary": summary.to_dict()})
+    for iq, qi in enumerate(q_values):
+        for jn, ni in enumerate(n_values):
+            _, summary = run_trials(
+                train, val, test, model_kind, q=qi,
+                sc_cfg=replace(sc_cfg, n_max=ni),
+                fcm_cfg=fcm_cfg,
+                esn_cfg=replace(esn_cfg, n_nodes=ni),
+                n_trials=trials_per_cell, base_seed=base_seed, normalize=normalize,
+            )
+            surface[iq, jn] = summary.mean_val if summary.n_ok else np.nan
+            cells.append({"q": qi, "n": ni, "summary": summary.to_dict()})
 
     finite = [
         (surface[iq, jn], ni, qi)
@@ -265,7 +254,7 @@ def grid_search(
         if np.isfinite(surface[iq, jn])
     ]
     if not finite:
-        raise RuntimeError("every grid cell failed")
+        raise ValueError("every grid cell failed")
     _, best_n, best_q = min(finite)  # ties: smaller N first, then smaller Q
     return GridSearchResult(
         q_values=q_values, n_values=n_values, mean_val_nrmse=surface,
@@ -342,12 +331,3 @@ def emit_report(
         written.append(path)
     return written
 
-
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import NormalizationStats, TimeSeriesDataset, fit_normalization
 from .errors import ModelFormatError
 from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm
-from .reservoir import ACTIVATIONS, SubReservoir
+from .reservoir import ACTIVATIONS, SubReservoir, run_recurrence
 from .trainer import ScConfig, fit_readout, train_sub_reservoir
 
 MODEL_FORMAT_VERSION = "frscn-1"
@@ -51,12 +51,21 @@ class EsnConfig:
 
 @dataclass(frozen=True)
 class FrscnModel:
-    """Rule bank, Q sub-reservoirs, normalization stats, and run metadata."""
+    """Rule bank, Q sub-reservoirs, normalization stats, and run metadata.
+
+    w_in (Q x N x K), w_r (Q x N x N), b (Q x N) and w_out (Q x L x (N+K))
+    are the per-rule weights stacked for serving, read-only and zero-padded to
+    the largest rule's N; padded nodes are read by no real node or readout.
+    """
 
     rule_bank: FuzzyRuleBank
     sub_reservoirs: tuple
     normalization: NormalizationStats
     metadata: dict = field(default_factory=dict)
+    w_in: np.ndarray = field(init=False, repr=False, compare=False)
+    w_r: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+    w_out: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sub_reservoirs", tuple(self.sub_reservoirs))
@@ -72,6 +81,23 @@ class FrscnModel:
             l_dims.add(res.w_out.shape[0])
         if len(l_dims) != 1:
             raise ValueError("all sub-reservoirs must share one output dim")
+        if len({res.activation for res in self.sub_reservoirs}) != 1:
+            raise ValueError("all sub-reservoirs must share one activation")
+        q, n_max = self.n_rules, max(res.n_nodes for res in self.sub_reservoirs)
+        w_in = np.zeros((q, n_max, k))
+        w_r = np.zeros((q, n_max, n_max))
+        b = np.zeros((q, n_max))
+        w_out = np.zeros((q, self.n_outputs, n_max + k))
+        for i, res in enumerate(self.sub_reservoirs):
+            n = res.n_nodes
+            w_in[i, :n] = res.w_in
+            w_r[i, :n, :n] = res.w_r
+            b[i, :n] = res.b
+            w_out[i, :, :n] = res.w_out[:, :n]
+            w_out[i, :, n_max:] = res.w_out[:, n:]
+        for name, arr in (("w_in", w_in), ("w_r", w_r), ("b", b), ("w_out", w_out)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_rules(self) -> int:
@@ -84,6 +110,10 @@ class FrscnModel:
     @property
     def n_outputs(self) -> int:
         return self.sub_reservoirs[0].w_out.shape[0]
+
+    @property
+    def activation(self) -> str:
+        return self.sub_reservoirs[0].activation
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         return predict(self, inputs)
@@ -101,11 +131,18 @@ class PredictionSession:
 
     def __init__(self, model: FrscnModel):
         self.model = model
-        self.states = [np.zeros(res.n_nodes) for res in model.sub_reservoirs]
+        self.states = np.zeros(model.b.shape)
 
     def reset(self):
-        for x in self.states:
-            x[:] = 0.0
+        self.states[:] = 0.0
+
+    def _advance(self, u_raw: np.ndarray):
+        """Normalize one raw input, advance the states; return (u K x 1, phi)."""
+        m = self.model
+        u = m.normalization.apply_inputs(np.asarray(u_raw, dtype=float).reshape(-1, 1))
+        phi = fire_strengths(m.rule_bank, u[:, 0])
+        self.states = run_recurrence(m.w_in, m.w_r, m.b, m.activation, u, self.states)[..., 0]
+        return u, phi
 
     def features(self, u_raw: np.ndarray):
         """Advance one step; return (phi, per-rule [state; input] blocks).
@@ -113,47 +150,63 @@ class PredictionSession:
         The input is normalized with the model's stats before anything else,
         so callers always pass raw-scale inputs.
         """
-        u_raw = np.asarray(u_raw, dtype=float).ravel()
-        u = self.model.normalization.apply_inputs(u_raw[:, None])[:, 0]
-        phi = fire_strengths(self.model.rule_bank, u)
-        blocks = []
-        for i, res in enumerate(self.model.sub_reservoirs):
-            g = ACTIVATIONS[res.activation]
-            x = g(res.w_in @ u + res.w_r @ self.states[i] + res.b)
-            self.states[i] = x
-            blocks.append(np.concatenate([x, u]))
+        u, phi = self._advance(u_raw)
+        blocks = [np.concatenate([x[: res.n_nodes], u[:, 0]])
+                  for x, res in zip(self.states, self.model.sub_reservoirs)]
         return phi, blocks
 
     def step(self, u_raw: np.ndarray) -> np.ndarray:
         """One-step prediction in raw target scale."""
-        phi, blocks = self.features(u_raw)
-        y = np.zeros(self.model.n_outputs)
-        for p, res, blk in zip(phi, self.model.sub_reservoirs, blocks):
-            y += p * (res.w_out @ blk)
-        return self.model.normalization.invert_targets(y[:, None])[:, 0]
+        u, phi = self._advance(u_raw)
+        y = _blend(self.model, self.states[..., None], u, phi[:, None])
+        return self.model.normalization.invert_targets(y)[:, 0]
+
+
+# Time steps per rollout chunk in predict: bounds the states held at once.
+PREDICT_CHUNK = 1024
 
 
 def predict(model: FrscnModel, inputs: np.ndarray) -> np.ndarray:
     """Predict over a whole input sequence; one fresh session per call.
 
     Per sample: y(n) = sum_i phi_i(n) W_out^i [x^i(n); u(n)], with every
-    sub-reservoir rolled forward from zero state at the sequence start.
+    sub-reservoir rolled forward from zero state at the sequence start. The
+    sequence is processed in chunks of PREDICT_CHUNK steps, the states
+    carried from one chunk to the next.
     """
     u_raw = np.atleast_2d(np.asarray(inputs, dtype=float))
     if u_raw.shape[0] != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} input dims, got {u_raw.shape[0]}")
-    u = model.normalization.apply_inputs(u_raw)
-    phi = fire_strength_matrix(model.rule_bank, u)  # Q x n
-    y = np.zeros((model.n_outputs, u.shape[1]))
-    for i, res in enumerate(model.sub_reservoirs):
-        states = res.rollout(u)
-        y += phi[i][None, :] * res.readout(states, u)
-    return model.normalization.invert_targets(y)
+    y = np.empty((model.n_outputs, u_raw.shape[1]))
+    x = None
+    for start in range(0, u_raw.shape[1], PREDICT_CHUNK):
+        chunk = slice(start, start + PREDICT_CHUNK)
+        u = model.normalization.apply_inputs(u_raw[:, chunk])
+        states = run_recurrence(model.w_in, model.w_r, model.b, model.activation, u, x)
+        x = states[..., -1]
+        phi = fire_strength_matrix(model.rule_bank, u)
+        y[:, chunk] = model.normalization.invert_targets(_blend(model, states, u, phi))
+    return y
+
+
+def _blend(model: FrscnModel, states: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Normalized outputs L x n, sum_i phi_i(n) W_out^i [x^i(n); u(n)], from
+    rule-stacked states Q x N x n, inputs K x n and fire strengths Q x n."""
+    design = np.concatenate([states, np.broadcast_to(u, (model.n_rules,) + u.shape)], axis=1)
+    return (phi[:, None, :] * (model.w_out @ design)).sum(axis=0)
 
 
 def stacked_readout(model: FrscnModel) -> np.ndarray:
     """Theta: the per-rule readouts concatenated along the feature axis."""
     return np.hstack([res.w_out for res in model.sub_reservoirs])
+
+
+def replace_readout(model: FrscnModel, theta: np.ndarray) -> FrscnModel:
+    """Copy of the model whose per-rule readouts are the blocks of Theta."""
+    bounds = np.cumsum([res.n_nodes + model.n_inputs for res in model.sub_reservoirs])
+    blocks = np.split(theta, bounds[:-1], axis=1)
+    return replace(model, sub_reservoirs=tuple(
+        replace(res, w_out=block.copy()) for res, block in zip(model.sub_reservoirs, blocks)))
 
 
 def stacked_features(phi: np.ndarray, blocks: list) -> np.ndarray:
@@ -172,7 +225,6 @@ def train_frscn(
     fcm_cfg: FcmConfig | None = None,
     seed: int = 0,
     normalize: bool = True,
-    threads: int = 1,
     accept_hook=None,
 ) -> tuple[FrscnModel, list]:
     """Full training: rule extraction, per-rule supervisory growth, assembly.
@@ -192,10 +244,8 @@ def train_frscn(
     seeds = _derived_seeds(seed, q + 1)
     bank = fit_fcm(ds.inputs[:, ds.washout :], q, replace(fcm_cfg, seed=seeds[0]))
 
-    def train_rule(i: int):
-        return train_sub_reservoir(ds, sc_cfg, seeds[i + 1], accept_hook=accept_hook)
-
-    results = _parallel_map(train_rule, range(q), threads)
+    results = [train_sub_reservoir(ds, sc_cfg, seeds[i + 1], accept_hook=accept_hook)
+               for i in range(q)]
     reservoirs = [res for res, _ in results]
     reports = [rep for _, rep in results]
     model = FrscnModel(
@@ -282,16 +332,6 @@ def _cfg_dict(cfg) -> dict:
         else:
             out[name] = value
     return out
-
-
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def save_model(model: FrscnModel, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TimeSeriesDataset
-from .model import FrscnModel, stacked_features, stacked_readout
+from .model import FrscnModel, replace_readout, stacked_features, stacked_readout
 
 
 @dataclass
@@ -32,7 +32,6 @@ class OnlineState:
     a: float = 1.0
     c: float = 1e-2
     step_count: int = 0
-    block_sizes: tuple = ()
 
     def assert_spd(self):
         """Cholesky-feasibility probe of the gain matrix."""
@@ -46,14 +45,7 @@ def init_online(model: FrscnModel, a: float = 1.0, c: float = 1e-2) -> OnlineSta
     if not c > 0:
         raise ValueError("c must be positive")
     theta = stacked_readout(model)
-    dim = theta.shape[1]
-    return OnlineState(
-        theta=theta.copy(),
-        h=np.eye(dim) / c,
-        a=a,
-        c=c,
-        block_sizes=tuple(res.n_nodes + model.n_inputs for res in model.sub_reservoirs),
-    )
+    return OnlineState(theta=theta, h=np.eye(theta.shape[1]) / c, a=a, c=c)
 
 
 def online_step(st: OnlineState, g_n: np.ndarray, t_n: np.ndarray):
@@ -111,23 +103,11 @@ def run_online(
             if record_thetas:
                 thetas.append(st.theta.copy())
 
-    updated = _write_back(model, st)
+    updated = replace_readout(model, st.theta)
     trace = np.array(errors).T if errors else np.zeros((model.n_outputs, 0))
     if record_thetas:
         return updated, trace, thetas
     return updated, trace
-
-
-def _write_back(model: FrscnModel, st: OnlineState) -> FrscnModel:
-    from dataclasses import replace
-
-    offset = 0
-    reservoirs = []
-    for res, size in zip(model.sub_reservoirs, st.block_sizes):
-        block = st.theta[:, offset : offset + size]
-        reservoirs.append(replace(res, w_out=block.copy()))
-        offset += size
-    return replace(model, sub_reservoirs=tuple(reservoirs))
 
 
 def contraction_diagnostic(theta_history, theta_ref: np.ndarray) -> np.ndarray:

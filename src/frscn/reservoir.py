@@ -75,6 +75,25 @@ def rescale_triangular(w_r: np.ndarray, alpha: float) -> tuple[np.ndarray, float
     return w_r * factor, factor
 
 
+def run_recurrence(w_in, w_r, b, activation: str, inputs, x0=None) -> np.ndarray:
+    """States of x(n) = g(W_in u(n) + W_r x(n-1) + b) over the columns of inputs.
+
+    Either one reservoir (w_in N x K, w_r N x N, b N; states N x n) or Q of
+    them stacked on a leading rule axis (Q x N x K, Q x N x N, Q x N; states
+    Q x N x n), advanced together by broadcasting matmul. x0 has the shape of
+    b and defaults to zeros.
+    """
+    u = np.atleast_2d(np.asarray(inputs, dtype=float))
+    g = ACTIVATIONS[activation]
+    pre = w_in @ u + b[..., None]
+    states = np.empty(pre.shape)
+    x = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).reshape(b.shape)
+    for t in range(u.shape[1]):
+        x = g(pre[..., t] + (w_r @ x[..., None])[..., 0])
+        states[..., t] = x
+    return states
+
+
 @dataclass(frozen=True)
 class SubReservoir:
     """One rule's recurrent core.
@@ -114,6 +133,8 @@ class SubReservoir:
             object.__setattr__(self, "w_out", w_out)
             if w_out.shape[1] != n + w_in.shape[1]:
                 raise ValueError("readout must have N+K columns")
+            if not np.isfinite(w_out).all():
+                raise ValueError("non-finite readout weights")
 
     @property
     def n_nodes(self) -> int:
@@ -166,18 +187,7 @@ class SubReservoir:
 
     def rollout(self, inputs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """State matrix N x n from x(n) = g(W_in u(n) + W_r x(n-1) + b), x(0) = 0."""
-        u = np.atleast_2d(np.asarray(inputs, dtype=float))
-        g = ACTIVATIONS[self.activation]
-        n_steps = u.shape[1]
-        states = np.empty((self.n_nodes, n_steps))
-        if self.n_nodes == 0:
-            return states
-        pre = self.w_in @ u + self.b[:, None]
-        x = np.zeros(self.n_nodes) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
-        for t in range(n_steps):
-            x = g(pre[:, t] + self.w_r @ x)
-            states[:, t] = x
-        return states
+        return run_recurrence(self.w_in, self.w_r, self.b, self.activation, inputs, x0)
 
     def readout(self, states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """y(n) = W_out [x(n); u(n)] columnwise."""

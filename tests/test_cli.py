@@ -62,6 +62,16 @@ class TestConfig:
         assert cfg["sc.epsilon"] == 1e-6
         assert cfg["washout"] == 100
 
+    def test_defaults_are_the_config_dataclass_defaults(self):
+        from dataclasses import fields
+
+        from frscn import EsnConfig, FcmConfig, ScConfig
+        cfg = default_config()
+        for prefix, cls in (("sc", ScConfig), ("fcm", FcmConfig), ("esn", EsnConfig)):
+            for f in fields(cls):
+                if f.name != "seed":  # one master seed, not one per config
+                    assert cfg[f"{prefix}.{f.name}"] == f.default, f"{prefix}.{f.name}"
+
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sc": {"bogus_knob": 1}}))
@@ -204,6 +214,20 @@ class TestOnlineCommand:
         assert movement < 1e-3
         assert float(lines[-1].split(",")[-1]) == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_readout_exits_1_without_writing(self, data_dir, tmp_path):
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--seed", "2",
+                    "--out-model", str(model_path),
+                    "--out-report", str(tmp_path / "rep.json"), *FAST]) == 0
+        # a gain matrix of 1e300 I overflows Theta on the first update
+        out_model = tmp_path / "adapted.json"
+        assert run(["online", "--model", str(model_path),
+                    "--data", str(data_dir / "val.csv"), "--online-c", "1e-300",
+                    "--out-model", str(out_model),
+                    "--out-trace", str(tmp_path / "trace.csv"), "--washout", "40"]) == 1
+        assert not out_model.exists()
+
 
 class TestPredictUnlabeled:
     def test_predict_without_target_column(self, data_dir, tmp_path):
@@ -265,3 +289,13 @@ class TestGridSearchCommand:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["grid"]["best_q"] == 1
         assert doc["grid"]["best_n"] == 6
+
+    def test_every_cell_failing_exits_1(self, tmp_path, capsys):
+        # constant columns: two rules cannot be clustered, so every trial fails
+        data = tmp_path / "constant.csv"
+        data.write_text("y,u,y_next\n" + "0.5,0.25,0.5\n" * 200)
+        code = run(["gridsearch", "--train", str(data), "--val", str(data),
+                    "--q-list", "2", "--n-list", "6", "--trials", "1",
+                    "--washout", "20", "--out", str(tmp_path / "grid")])
+        assert code == 1
+        assert "error: every grid cell failed" in capsys.readouterr().err

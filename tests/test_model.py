@@ -11,6 +11,7 @@ from frscn import (
     NormalizationStats,
     ScConfig,
     SubReservoir,
+    fire_strength_matrix,
     fire_strengths,
     generate_plant_sequence,
     load_model,
@@ -21,6 +22,7 @@ from frscn import (
     train_fesn,
     train_frscn,
 )
+from frscn.model import PREDICT_CHUNK
 
 
 def identity_stats(k, l_dims):
@@ -108,6 +110,75 @@ class TestPredict:
         a = predict(model, inputs)
         b = predict(model, inputs)
         assert np.array_equal(a, b)
+
+
+def ragged_model(rng, sizes, activation="tanh", k=2, l_dims=2):
+    """Rules of unequal sizes behind a live (enabled) normalization."""
+    reservoirs = tuple(
+        SubReservoir(
+            w_in=rng.uniform(-1, 1, (n, k)),
+            w_r=np.tril(rng.uniform(-0.4, 0.4, (n, n))),
+            b=rng.uniform(-0.5, 0.5, n),
+            w_out=rng.normal(size=(l_dims, n + k)),
+            activation=activation,
+        )
+        for n in sizes
+    )
+    q = len(sizes)
+    bank = FuzzyRuleBank(centers=rng.uniform(-1, 1, (q, k)), widths=rng.uniform(0.5, 2, (q, k)))
+    stats = NormalizationStats(
+        input_min=np.full(k, -3.0), input_max=np.full(k, 2.0),
+        target_min=np.full(l_dims, -1.5), target_max=np.full(l_dims, 4.0), enabled=True,
+    )
+    return FrscnModel(rule_bank=bank, sub_reservoirs=reservoirs, normalization=stats)
+
+
+def per_rule_predict(model, inputs):
+    """Reference: one SubReservoir.rollout per rule over the whole sequence."""
+    u = model.normalization.apply_inputs(inputs)
+    phi = fire_strength_matrix(model.rule_bank, u)
+    y = sum(p[None, :] * res.readout(res.rollout(u), u)
+            for p, res in zip(phi, model.sub_reservoirs))
+    return model.normalization.invert_targets(y)
+
+
+class TestRuleStackedServing:
+    @pytest.mark.parametrize("sizes, activation", [
+        ((5, 5, 5), "tanh"),
+        ((3, 7, 4), "tanh"),
+        ((3, 7, 4), "sigmoid"),  # g(0) != 0: padded nodes hold nonzero states
+    ])
+    def test_chunked_predict_matches_per_rule_rollouts(self, sizes, activation):
+        rng = np.random.default_rng(11)
+        model = ragged_model(rng, sizes, activation)
+        inputs = rng.uniform(-3, 2, (2, 2 * PREDICT_CHUNK + PREDICT_CHUNK // 2 + 7))
+        ref = per_rule_predict(model, inputs)
+        assert np.abs(predict(model, inputs) - ref).max() < 1e-12
+
+    def test_session_matches_predict_across_a_chunk_boundary(self):
+        rng = np.random.default_rng(12)
+        model = ragged_model(rng, (3, 7, 4), "sigmoid")
+        inputs = rng.uniform(-3, 2, (2, PREDICT_CHUNK + 5))
+        session = model.session()
+        steps = np.column_stack([session.step(inputs[:, t]) for t in range(inputs.shape[1])])
+        assert np.abs(steps - predict(model, inputs)).max() < 1e-12
+
+    def test_mixed_activations_rejected(self):
+        rng = np.random.default_rng(13)
+        tanh_model = ragged_model(rng, (3, 4), "tanh")
+        sigmoid_model = ragged_model(rng, (3, 4), "sigmoid")
+        with pytest.raises(ValueError, match="activation"):
+            FrscnModel(
+                rule_bank=tanh_model.rule_bank,
+                sub_reservoirs=(tanh_model.sub_reservoirs[0], sigmoid_model.sub_reservoirs[1]),
+                normalization=tanh_model.normalization,
+            )
+
+    def test_stacked_weights_are_read_only(self):
+        model = ragged_model(np.random.default_rng(14), (2, 3))
+        for arr in (model.w_in, model.w_r, model.b, model.w_out):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestTrainFrscn:
@@ -239,3 +310,24 @@ class TestSerialization:
         path.write_text("{}")
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
+
+    def saved_and_edited(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(random_model(np.random.default_rng(15), q=2), path)
+        doc = json.loads(path.read_text())
+        edit(doc["sub_reservoirs"])
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_non_finite_readout_rejected_on_load(self, tmp_path):
+        # json writes and reads NaN without complaint
+        def edit(reservoirs):
+            reservoirs[0]["w_out"][0][0] = float("nan")
+        with pytest.raises(ModelFormatError, match="non-finite readout"):
+            load_model(self.saved_and_edited(tmp_path, edit))
+
+    def test_mixed_activations_rejected_on_load(self, tmp_path):
+        def edit(reservoirs):
+            reservoirs[1]["activation"] = "sigmoid"
+        with pytest.raises(ModelFormatError, match="activation"):
+            load_model(self.saved_and_edited(tmp_path, edit))

@@ -13,7 +13,7 @@ from frscn import (
     stacked_readout,
     train_frscn,
 )
-from frscn.online import _write_back
+from frscn.model import replace_readout
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class TestInit:
     def test_zero_steps_leaves_predictions_unchanged(self, small_model):
         train, model = small_model
         st = init_online(model)
-        unchanged = _write_back(model, st)
+        unchanged = replace_readout(model, st.theta)
         assert np.array_equal(predict(unchanged, train.inputs), predict(model, train.inputs))
 
     def test_parameter_validation(self, small_model):
