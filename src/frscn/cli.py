@@ -23,7 +23,7 @@ from . import dataset as ds_mod
 from . import evaluation as ev
 from . import online as ol
 from .fuzzy import FcmConfig
-from .model import EsnConfig, load_model, predict, save_model
+from .model import EsnConfig, load_model, predict, save_model, train_model
 from .trainer import ScConfig
 
 
@@ -44,8 +44,8 @@ def _bool(text):
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-_SC, _FCM, _ESN = ({f.name: f.default for f in fields(cls)}
-                    for cls in (ScConfig, FcmConfig, EsnConfig))
+_SC, _FCM, _ESN, _ONLINE = ({f.name: f.default for f in fields(cls)}
+                             for cls in (ScConfig, FcmConfig, EsnConfig, ol.OnlineState))
 
 # One row per configurable key: dotted name, parser, default, help.
 CONFIG_SPEC = [
@@ -72,8 +72,8 @@ CONFIG_SPEC = [
     ("esn.ridge", float, _ESN["ridge"], "baseline readout regularization"),
     ("esn.activation", str, _ESN["activation"], "baseline activation"),
     ("esn.weight_scale", float, _ESN["weight_scale"], "baseline uniform draw half-width"),
-    ("online.a", float, 1.0, "projection gain factor in (0,1]"),
-    ("online.c", float, 1e-2, "gain matrix initialization constant"),
+    ("online.a", float, _ONLINE["a"], "projection gain factor in (0,1]"),
+    ("online.c", float, _ONLINE["c"], "gain matrix initialization constant"),
 ]
 
 
@@ -211,30 +211,19 @@ def cmd_train(args, cfg) -> int:
     sc, fcm, esn = build_configs(cfg)
     train = _load_data(args.data, cfg, args)
     kind = args.model_kind
-    q = 1 if kind in ("rscn", "esn") else cfg["q"]
-    if kind in ("frscn", "rscn"):
-        from .model import train_frscn
-
-        model, reports = train_frscn(
-            train, q=q, sc_cfg=sc, fcm_cfg=fcm, seed=cfg["seed"],
-            normalize=cfg["normalize"],
-        )
-    else:
-        from .model import train_fesn
-
-        model = train_fesn(train, q=q, fcm_cfg=fcm, esn_cfg=esn,
-                           seed=cfg["seed"], normalize=cfg["normalize"])
-        reports = []
+    model, reports = train_model(train, kind, q=cfg["q"], sc_cfg=sc, fcm_cfg=fcm, esn_cfg=esn,
+                                 seed=cfg["seed"], normalize=cfg["normalize"])
     save_model(model, args.out_model)
     report_doc = {
         "model_kind": kind,
-        "q": q,
+        "q": model.n_rules,
         "seed": cfg["seed"],
         "train_nrmse": ev.nrmse(predict(model, train.inputs), train.targets, train.washout),
         "reports": [r.to_dict() for r in reports],
     }
     Path(args.out_report).write_text(json.dumps(report_doc, indent=2))
-    print(f"trained {kind} (q={q}); model -> {args.out_model}, report -> {args.out_report}")
+    print(f"trained {kind} (q={model.n_rules}); model -> {args.out_model}, "
+          f"report -> {args.out_report}")
     print(f"train NRMSE: {report_doc['train_nrmse']:.6f}")
     return 0
 
@@ -285,15 +274,11 @@ def cmd_online(args, cfg) -> int:
         return 1
     state = ol.init_online(model, a=cfg["online.a"], c=cfg["online.c"])
     st_theta0 = state.theta.copy()
-    updated, trace, thetas = ol.run_online(model, state, data, record_thetas=True)
+    updated, trace = ol.run_online(model, state, data)
     save_model(updated, args.out_model)
-    deviations = ol.contraction_diagnostic(thetas, state.theta)
-    with open(args.out_trace, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        l_dims = trace.shape[0]
-        writer.writerow(["step"] + [f"e_s_{q + 1}" for q in range(l_dims)] + ["theta_dev"])
-        for j in range(trace.shape[1]):
-            writer.writerow([j + 1] + [repr(float(v)) for v in trace[:, j]] + [repr(float(deviations[j]))])
+    header = ["step"] + [f"e_s_{q + 1}" for q in range(trace.shape[0])]
+    _write_series_csv(args.out_trace, header,
+                      [list(range(1, trace.shape[1] + 1))] + [list(row) for row in trace])
     moved = float(np.linalg.norm(st_theta0 - state.theta))
     print(f"online pass over {trace.shape[1]} samples; readout moved {moved:.6g}")
     print(f"updated model -> {args.out_model}, trace -> {args.out_trace}")

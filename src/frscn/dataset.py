@@ -57,9 +57,6 @@ class TimeSeriesDataset:
     def n_outputs(self) -> int:
         return self.targets.shape[0]
 
-    def with_washout(self, washout: int) -> "TimeSeriesDataset":
-        return replace(self, washout=washout)
-
 
 def plant_response(u: np.ndarray) -> np.ndarray:
     """Drive the benchmark plant with input sequence u(1..n); return y(1..n+1).

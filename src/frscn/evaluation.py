@@ -13,7 +13,7 @@ import numpy as np
 from .dataset import TimeSeriesDataset
 from .errors import UndefinedMetricError
 from .fuzzy import FcmConfig, fire_strength_matrix
-from .model import EsnConfig, FrscnModel, predict, train_fesn, train_frscn
+from .model import EsnConfig, FrscnModel, predict, train_model
 from .trainer import ScConfig
 
 
@@ -112,21 +112,9 @@ def run_single_trial(
     Returns (model, reports, TrialResult). model_kind "rscn" and "esn" are
     the q == 1 aliases of "frscn" and "fesn".
     """
-    kind = model_kind.lower()
-    if kind in ("rscn", "esn"):
-        q = 1
     started = time.perf_counter()
-    if kind in ("frscn", "rscn"):
-        model, reports = train_frscn(
-            train, q=q, sc_cfg=sc_cfg, fcm_cfg=fcm_cfg, seed=seed, normalize=normalize
-        )
-    elif kind in ("fesn", "esn"):
-        model = train_fesn(
-            train, q=q, fcm_cfg=fcm_cfg, esn_cfg=esn_cfg, seed=seed, normalize=normalize
-        )
-        reports = []
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    model, reports = train_model(train, model_kind.lower(), q=q, sc_cfg=sc_cfg, fcm_cfg=fcm_cfg,
+                                 esn_cfg=esn_cfg, seed=seed, normalize=normalize)
     elapsed = time.perf_counter() - started
 
     def score(ds):

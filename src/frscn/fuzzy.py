@@ -156,29 +156,24 @@ def fit_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig | None = None) -> FuzzyRu
     return FuzzyRuleBank(centers=centers, widths=widths)
 
 
-def log_fire_strengths(bank: FuzzyRuleBank, u: np.ndarray) -> np.ndarray:
-    """Unnormalized log fire strengths for one input vector (length Q)."""
-    u = np.asarray(u, dtype=float).ravel()
-    z = (u[None, :] - bank.centers) / bank.widths
-    return -(z**2).sum(axis=1)
-
-
 def fire_strengths(bank: FuzzyRuleBank, u: np.ndarray) -> np.ndarray:
-    """Normalized fire strengths for one input vector.
-
-    Computed in log space: subtract the max log strength before
-    exponentiating, so even inputs thousands of widths from every center
-    yield a finite vector that sums to 1.
-    """
-    log_psi = log_fire_strengths(bank, u)
-    stable = np.exp(log_psi - log_psi.max())
-    return stable / stable.sum()
+    """Normalized fire strengths for one input vector: the one column of
+    fire_strength_matrix on it."""
+    return fire_strength_matrix(bank, np.asarray(u, dtype=float).reshape(-1, 1))[:, 0]
 
 
 def fire_strength_matrix(bank: FuzzyRuleBank, inputs: np.ndarray) -> np.ndarray:
-    """Normalized fire strengths for a K x n input matrix; returns Q x n."""
+    """Normalized fire strengths for a K x n input matrix; returns Q x n.
+
+    Computed in log space: subtract each column's max log strength before
+    exponentiating, so even inputs thousands of widths from every center
+    yield a finite column that sums to 1.
+    """
     pts = np.atleast_2d(np.asarray(inputs, dtype=float))
     z = (pts[None, :, :] - bank.centers[:, :, None]) / bank.widths[:, :, None]
-    log_psi = -(z**2).sum(axis=1)
+    # Both sums run strictly left to right (last partial sum of accumulate):
+    # ndarray.sum adds a contiguous run of 8 or more terms pairwise, so a
+    # K x 1 input would round differently from one column of a K x n input.
+    log_psi = -np.add.accumulate(z**2, axis=1)[:, -1]
     stable = np.exp(log_psi - log_psi.max(axis=0, keepdims=True))
-    return stable / stable.sum(axis=0, keepdims=True)
+    return stable / np.add.accumulate(stable, axis=0)[-1]

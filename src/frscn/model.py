@@ -133,9 +133,6 @@ class PredictionSession:
         self.model = model
         self.states = np.zeros(model.b.shape)
 
-    def reset(self):
-        self.states[:] = 0.0
-
     def _advance(self, u_raw: np.ndarray):
         """Normalize one raw input, advance the states; return (u K x 1, phi)."""
         m = self.model
@@ -151,9 +148,7 @@ class PredictionSession:
         so callers always pass raw-scale inputs.
         """
         u, phi = self._advance(u_raw)
-        blocks = [np.concatenate([x[: res.n_nodes], u[:, 0]])
-                  for x, res in zip(self.states, self.model.sub_reservoirs)]
-        return phi, blocks
+        return phi, _rule_blocks(self.model, self.states, u[:, 0])
 
     def step(self, u_raw: np.ndarray) -> np.ndarray:
         """One-step prediction in raw target scale."""
@@ -175,18 +170,42 @@ def predict(model: FrscnModel, inputs: np.ndarray) -> np.ndarray:
     carried from one chunk to the next.
     """
     u_raw = np.atleast_2d(np.asarray(inputs, dtype=float))
+    y = np.empty((model.n_outputs, u_raw.shape[1]))
+    for chunk, u, phi, states in _chunks(model, u_raw):
+        y[:, chunk] = model.normalization.invert_targets(_blend(model, states, u, phi))
+    return y
+
+
+def feature_chunks(model: FrscnModel, inputs: np.ndarray):
+    """Batch analogue of PredictionSession.features over a whole sequence.
+
+    Yields (slice, phi Q x n, per-rule [x^i; u] blocks (n_i+K) x n) for each
+    PREDICT_CHUNK slice, from the same rollout as predict.
+    """
+    for chunk, u, phi, states in _chunks(model, inputs):
+        yield chunk, phi, _rule_blocks(model, states, u)
+
+
+def _chunks(model: FrscnModel, inputs: np.ndarray):
+    """Yield (slice, normalized inputs K x n, fire strengths Q x n, rule-stacked
+    states Q x N x n) per PREDICT_CHUNK steps of raw inputs K x T, the states
+    carried from one chunk to the next."""
+    u_raw = np.atleast_2d(np.asarray(inputs, dtype=float))
     if u_raw.shape[0] != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} input dims, got {u_raw.shape[0]}")
-    y = np.empty((model.n_outputs, u_raw.shape[1]))
     x = None
     for start in range(0, u_raw.shape[1], PREDICT_CHUNK):
         chunk = slice(start, start + PREDICT_CHUNK)
         u = model.normalization.apply_inputs(u_raw[:, chunk])
         states = run_recurrence(model.w_in, model.w_r, model.b, model.activation, u, x)
         x = states[..., -1]
-        phi = fire_strength_matrix(model.rule_bank, u)
-        y[:, chunk] = model.normalization.invert_targets(_blend(model, states, u, phi))
-    return y
+        yield chunk, u, fire_strength_matrix(model.rule_bank, u), states
+
+
+def _rule_blocks(model: FrscnModel, states: np.ndarray, u: np.ndarray) -> list:
+    """Per-rule [x^i; u] blocks: each rule's real nodes cut from the padded
+    rule-stacked states (Q x N[ x n]) and stacked over the inputs (K[ x n])."""
+    return [np.concatenate([x[: res.n_nodes], u]) for x, res in zip(states, model.sub_reservoirs)]
 
 
 def _blend(model: FrscnModel, states: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -210,12 +229,33 @@ def replace_readout(model: FrscnModel, theta: np.ndarray) -> FrscnModel:
 
 
 def stacked_features(phi: np.ndarray, blocks: list) -> np.ndarray:
-    """G(n): the fire-strength-weighted per-rule blocks stacked into one vector."""
+    """G(n): the fire-strength-weighted per-rule blocks stacked into one vector,
+    or into the D x n matrix of columns G(n) for batch phi and blocks."""
     return np.concatenate([p * blk for p, blk in zip(phi, blocks)])
 
 
 def _derived_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
+
+
+def train_model(train: TimeSeriesDataset, kind: str = "frscn", q: int = 5,
+                sc_cfg: ScConfig | None = None, fcm_cfg: FcmConfig | None = None,
+                esn_cfg: EsnConfig | None = None, seed: int = 0,
+                normalize: bool = True) -> tuple[FrscnModel, list]:
+    """Train a model of the named kind; returns (model, per-rule growth reports).
+
+    "rscn" and "esn" are the q == 1 aliases of "frscn" and "fesn"; the
+    fixed-size reservoirs of "fesn" and "esn" have no growth reports.
+    """
+    if kind in ("rscn", "esn"):
+        q = 1
+    if kind in ("frscn", "rscn"):
+        return train_frscn(train, q=q, sc_cfg=sc_cfg, fcm_cfg=fcm_cfg, seed=seed,
+                           normalize=normalize)
+    if kind in ("fesn", "esn"):
+        return train_fesn(train, q=q, fcm_cfg=fcm_cfg, esn_cfg=esn_cfg, seed=seed,
+                          normalize=normalize), []
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def train_frscn(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TimeSeriesDataset
-from .model import FrscnModel, replace_readout, stacked_features, stacked_readout
+from .model import FrscnModel, feature_chunks, replace_readout, stacked_features, stacked_readout
 
 
 @dataclass
@@ -38,7 +38,8 @@ class OnlineState:
         np.linalg.cholesky(self.h)
 
 
-def init_online(model: FrscnModel, a: float = 1.0, c: float = 1e-2) -> OnlineState:
+def init_online(model: FrscnModel, a: float = OnlineState.a,
+                c: float = OnlineState.c) -> OnlineState:
     """Assemble Theta from the model's readouts and set H to (1/c) I."""
     if not 0 < a <= 1:
         raise ValueError("a must be in (0, 1]")
@@ -73,40 +74,32 @@ def online_step(st: OnlineState, g_n: np.ndarray, t_n: np.ndarray):
     return st, e_s
 
 
-def run_online(
-    model: FrscnModel,
-    st: OnlineState,
-    ds: TimeSeriesDataset,
-    record_thetas: bool = False,
-):
+def run_online(model: FrscnModel, st: OnlineState, ds: TimeSeriesDataset):
     """Stream a dataset through the projection update.
 
     Sub-reservoir states evolve over every sample, but updates (and the error
-    trace) start after the washout. On completion the adapted Theta blocks
-    are written back into a copy of the model's per-rule readouts. Returns
-    (updated model, error trace L x n_updates[, theta snapshots]).
+    trace) start after the washout. Only Theta adapts, so G is formed from
+    predict's chunked rollout. Samples with non-finite features are skipped;
+    a Theta that stops being finite raises ValueError naming the sample. On
+    completion the adapted Theta blocks are written back into a copy of the
+    model's per-rule readouts. Returns (updated model, error trace L x n_updates).
     """
     if ds.n_inputs != model.n_inputs or ds.n_outputs != model.n_outputs:
         raise ValueError("dataset dimensions do not match the model")
-    session = model.session()
+    targets = model.normalization.apply_targets(ds.targets)
     errors = []
-    thetas = [] if record_thetas else None
-    for n in range(ds.n_samples):
-        phi, blocks = session.features(ds.inputs[:, n])
-        if n < ds.washout:
-            continue
-        g_n = stacked_features(phi, blocks)
-        t_n = model.normalization.apply_targets(ds.targets[:, n][:, None])[:, 0]
-        _, e_s = online_step(st, g_n, t_n)
-        if e_s is not None:
+    for chunk, phi, blocks in feature_chunks(model, ds.inputs):
+        g = stacked_features(phi, blocks)
+        for n in range(max(chunk.start, ds.washout), chunk.start + g.shape[1]):
+            _, e_s = online_step(st, g[:, n - chunk.start], targets[:, n])
+            if e_s is None:
+                continue
+            if not np.isfinite(st.theta).all():
+                raise ValueError(f"online readout diverged at sample {n + 1} (c={st.c:g})")
             errors.append(e_s)
-            if record_thetas:
-                thetas.append(st.theta.copy())
 
     updated = replace_readout(model, st.theta)
     trace = np.array(errors).T if errors else np.zeros((model.n_outputs, 0))
-    if record_thetas:
-        return updated, trace, thetas
     return updated, trace
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frscn import DegenerateDataError, FcmConfig, FuzzyRuleBank, fire_strengths, fit_fcm
 from frscn.fuzzy import fcm_objective, fire_strength_matrix, run_fcm
@@ -129,6 +132,24 @@ class TestFireStrengths:
         phi_m = fire_strength_matrix(bank, inputs)
         for j in range(40):
             assert np.abs(phi_m[:, j] - fire_strengths(bank, inputs[:, j])).max() < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), q=st.integers(1, 8), k=st.integers(1, 10), n=st.integers(1, 12))
+    def test_vector_is_the_matrix_column(self, data, q, k, n):
+        finite = st.floats(-1e3, 1e3)
+        # outliers far beyond 1e3 widths from every center, short of overflowing z**2
+        inputs = st.one_of(finite, st.floats(-1e100, 1e100))
+        bank = FuzzyRuleBank(
+            centers=data.draw(arrays(float, (q, k), elements=finite)),
+            widths=data.draw(arrays(float, (q, k), elements=st.floats(1e-3, 1e2))),
+        )
+        u = data.draw(arrays(float, (k, n), elements=inputs))
+        phi_m = fire_strength_matrix(bank, u)
+        for j in range(n):
+            phi = fire_strengths(bank, u[:, j])
+            assert np.array_equal(phi, phi_m[:, j])
+            assert abs(phi.sum() - 1.0) < 1e-12
+            assert (phi >= 0).all()
 
     def test_bank_validation(self):
         with pytest.raises(ValueError):

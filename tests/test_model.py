@@ -22,7 +22,7 @@ from frscn import (
     train_fesn,
     train_frscn,
 )
-from frscn.model import PREDICT_CHUNK
+from frscn.model import PREDICT_CHUNK, train_model
 
 
 def identity_stats(k, l_dims):
@@ -236,6 +236,15 @@ class TestTrainFesn:
             res.readout(res.rollout(ds_norm), ds_norm)
         )
         assert np.abs(predict(model, inputs) - expect).max() < 1e-12
+
+    def test_kind_dispatch(self, plant_train):
+        cfg = EsnConfig(n_nodes=10)
+        model, reports = train_model(plant_train, "esn", q=3, esn_cfg=cfg, seed=0)
+        assert model.n_rules == 1 and reports == []
+        same = train_fesn(plant_train, q=1, esn_cfg=cfg, seed=0)
+        assert stacked_readout(model).tolist() == stacked_readout(same).tolist()
+        with pytest.raises(ValueError, match="unknown model kind"):
+            train_model(plant_train, "lstm")
 
 
 class TestModelValidation:

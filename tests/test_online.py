@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 
 from frscn import (
+    FrscnModel,
+    FuzzyRuleBank,
+    NormalizationStats,
     OnlineState,
+    PredictionSession,
     ScConfig,
+    SubReservoir,
+    TimeSeriesDataset,
     contraction_diagnostic,
     generate_plant_sequence,
     init_online,
     online_step,
     predict,
     run_online,
+    stacked_features,
     stacked_readout,
     train_frscn,
 )
-from frscn.model import replace_readout
+from frscn.model import PREDICT_CHUNK, replace_readout
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +206,48 @@ class TestRunOnline:
         st = init_online(model)
         updated, _ = run_online(model, st, train)
         assert np.array_equal(stacked_readout(updated), st.theta)
+
+    def test_chunked_pass_matches_per_sample_reference(self, monkeypatch):
+        # rules of unequal sizes, a washout longer than one chunk, 2.5+ chunks
+        rng = np.random.default_rng(21)
+        k, l_dims = 2, 2
+        reservoirs = tuple(
+            SubReservoir(w_in=rng.uniform(-1, 1, (n, k)),
+                         w_r=np.tril(rng.uniform(-0.4, 0.4, (n, n))),
+                         b=rng.uniform(-0.5, 0.5, n), w_out=rng.normal(size=(l_dims, n + k)))
+            for n in (3, 7, 4))
+        stats = NormalizationStats(
+            input_min=np.full(k, -3.0), input_max=np.full(k, 2.0),
+            target_min=np.full(l_dims, -1.5), target_max=np.full(l_dims, 4.0), enabled=True)
+        bank = FuzzyRuleBank(centers=rng.uniform(-1, 1, (3, k)), widths=rng.uniform(0.5, 2, (3, k)))
+        model = FrscnModel(rule_bank=bank, sub_reservoirs=reservoirs, normalization=stats)
+        n_samples = 2 * PREDICT_CHUNK + PREDICT_CHUNK // 2 + 7
+        ds = TimeSeriesDataset(inputs=rng.uniform(-3, 2, (k, n_samples)),
+                               targets=rng.uniform(-1.5, 4, (l_dims, n_samples)),
+                               washout=PREDICT_CHUNK + 50)
+
+        # reference: one session step per sample, G and the target one at a time
+        ref = init_online(model)
+        session = model.session()
+        errors = []
+        for n in range(n_samples):
+            phi, blocks = session.features(ds.inputs[:, n])
+            if n < ds.washout:
+                continue
+            t_n = model.normalization.apply_targets(ds.targets[:, n][:, None])[:, 0]
+            _, e_s = online_step(ref, stacked_features(phi, blocks), t_n)
+            errors.append(e_s)
+        ref_trace = np.array(errors).T
+
+        def no_session_step(*_):
+            raise AssertionError("run_online advanced a PredictionSession")
+
+        monkeypatch.setattr(PredictionSession, "_advance", no_session_step)
+        st = init_online(model)
+        _, trace = run_online(model, st, ds)
+        assert trace.shape == ref_trace.shape == (l_dims, n_samples - ds.washout)
+        assert np.abs(st.theta - ref.theta).max() <= 1e-9 * np.abs(ref.theta).max()
+        assert np.abs(trace - ref_trace).max() <= 1e-9 * np.abs(ref_trace).max()
 
     def test_dimension_mismatch(self, small_model):
         train, model = small_model
