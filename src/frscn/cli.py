@@ -234,10 +234,6 @@ def cmd_predict(args, cfg) -> int:
     # unlabeled CSVs work
     args.target_cols = str(args.input_cols).split(",")[0]
     data = _load_data(args.data, cfg, args)
-    if data.n_inputs != model.n_inputs:
-        print(f"error: model expects {model.n_inputs} input dims, "
-              f"data has {data.n_inputs}", file=sys.stderr)
-        return 1
     pred = predict(model, data.inputs)
     header = ["n"] + [f"prediction_{q + 1}" for q in range(pred.shape[0])]
     _write_series_csv(args.out, header,
@@ -249,10 +245,6 @@ def cmd_predict(args, cfg) -> int:
 def cmd_eval(args, cfg) -> int:
     model = load_model(args.model)
     data = _load_data(args.data, cfg, args)
-    if data.n_inputs != model.n_inputs:
-        print(f"error: model expects {model.n_inputs} input dims, "
-              f"data has {data.n_inputs}", file=sys.stderr)
-        return 1
     value = ev.nrmse(predict(model, data.inputs), data.targets, data.washout)
     if args.report_dir:
         ev.emit_report(args.report_dir, model=model, dataset=data,
@@ -268,10 +260,6 @@ def cmd_eval(args, cfg) -> int:
 def cmd_online(args, cfg) -> int:
     model = load_model(args.model)
     data = _load_data(args.data, cfg, args)
-    if data.n_inputs != model.n_inputs or data.n_outputs != model.n_outputs:
-        print(f"error: model is {model.n_inputs} in / {model.n_outputs} out, "
-              f"data is {data.n_inputs} in / {data.n_outputs} out", file=sys.stderr)
-        return 1
     state = ol.init_online(model, a=cfg["online.a"], c=cfg["online.c"])
     st_theta0 = state.theta.copy()
     updated, trace = ol.run_online(model, state, data)

@@ -183,7 +183,6 @@ class GridSearchResult:
     mean_val_nrmse: np.ndarray  # len(q_values) x len(n_values)
     best_q: int
     best_n: int
-    cells: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -222,7 +221,6 @@ def grid_search(
     esn_cfg = esn_cfg or EsnConfig()
 
     surface = np.full((len(q_values), len(n_values)), np.nan)
-    cells = []
     for iq, qi in enumerate(q_values):
         for jn, ni in enumerate(n_values):
             _, summary = run_trials(
@@ -233,7 +231,6 @@ def grid_search(
                 n_trials=trials_per_cell, base_seed=base_seed, normalize=normalize,
             )
             surface[iq, jn] = summary.mean_val if summary.n_ok else np.nan
-            cells.append({"q": qi, "n": ni, "summary": summary.to_dict()})
 
     finite = [
         (surface[iq, jn], ni, qi)
@@ -246,7 +243,7 @@ def grid_search(
     _, best_n, best_q = min(finite)  # ties: smaller N first, then smaller Q
     return GridSearchResult(
         q_values=q_values, n_values=n_values, mean_val_nrmse=surface,
-        best_q=best_q, best_n=best_n, cells=cells,
+        best_q=best_q, best_n=best_n,
     )
 
 

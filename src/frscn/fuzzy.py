@@ -167,13 +167,24 @@ def fire_strength_matrix(bank: FuzzyRuleBank, inputs: np.ndarray) -> np.ndarray:
 
     Computed in log space: subtract each column's max log strength before
     exponentiating, so even inputs thousands of widths from every center
-    yield a finite column that sums to 1.
+    yield a finite column that sums to 1. Where every rule's squared distance
+    overflows, the nearest rules share the column equally.
     """
     pts = np.atleast_2d(np.asarray(inputs, dtype=float))
-    z = (pts[None, :, :] - bank.centers[:, :, None]) / bank.widths[:, :, None]
-    # Both sums run strictly left to right (last partial sum of accumulate):
-    # ndarray.sum adds a contiguous run of 8 or more terms pairwise, so a
-    # K x 1 input would round differently from one column of a K x n input.
-    log_psi = -np.add.accumulate(z**2, axis=1)[:, -1]
-    stable = np.exp(log_psi - log_psi.max(axis=0, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (pts[None, :, :] - bank.centers[:, :, None]) / bank.widths[:, :, None]
+        # Both sums run strictly left to right (last partial sum of accumulate):
+        # ndarray.sum adds a contiguous run of 8 or more terms pairwise, so a
+        # K x 1 input would round differently from one column of a K x n input.
+        log_psi = -np.add.accumulate(z**2, axis=1)[:, -1]
+        top = log_psi.max(axis=0)
+        if np.fmin.reduce(top) == -np.inf:  # fmin skips the NaN of a NaN input
+            # rank the distances with z scaled into [-1, 1]; inf / inf counts as 1
+            far = top == -np.inf
+            a = np.abs(z[:, :, far])
+            a = np.fmin(a / a.max(axis=(0, 1)), 1.0)
+            d = np.add.accumulate(a**2, axis=1)[:, -1]
+            log_psi[:, far] = np.where(d == d.min(axis=0), 0.0, -np.inf)
+            top[far] = 0.0
+    stable = np.exp(log_psi - top)
     return stable / np.add.accumulate(stable, axis=0)[-1]

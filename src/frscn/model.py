@@ -136,7 +136,7 @@ class PredictionSession:
     def _advance(self, u_raw: np.ndarray):
         """Normalize one raw input, advance the states; return (u K x 1, phi)."""
         m = self.model
-        u = m.normalization.apply_inputs(np.asarray(u_raw, dtype=float).reshape(-1, 1))
+        u = m.normalization.apply_inputs(_raw_inputs(m, np.asarray(u_raw, dtype=float).reshape(-1, 1)))
         phi = fire_strengths(m.rule_bank, u[:, 0])
         self.states = run_recurrence(m.w_in, m.w_r, m.b, m.activation, u, self.states)[..., 0]
         return u, phi
@@ -190,9 +190,7 @@ def _chunks(model: FrscnModel, inputs: np.ndarray):
     """Yield (slice, normalized inputs K x n, fire strengths Q x n, rule-stacked
     states Q x N x n) per PREDICT_CHUNK steps of raw inputs K x T, the states
     carried from one chunk to the next."""
-    u_raw = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if u_raw.shape[0] != model.n_inputs:
-        raise ValueError(f"expected {model.n_inputs} input dims, got {u_raw.shape[0]}")
+    u_raw = _raw_inputs(model, inputs)
     x = None
     for start in range(0, u_raw.shape[1], PREDICT_CHUNK):
         chunk = slice(start, start + PREDICT_CHUNK)
@@ -200,6 +198,14 @@ def _chunks(model: FrscnModel, inputs: np.ndarray):
         states = run_recurrence(model.w_in, model.w_r, model.b, model.activation, u, x)
         x = states[..., -1]
         yield chunk, u, fire_strength_matrix(model.rule_bank, u), states
+
+
+def _raw_inputs(model: FrscnModel, inputs) -> np.ndarray:
+    """Raw inputs as a K x n float array; ValueError unless K is the model's."""
+    u_raw = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if u_raw.shape[0] != model.n_inputs:
+        raise ValueError(f"expected {model.n_inputs} input dims, got {u_raw.shape[0]}")
+    return u_raw
 
 
 def _rule_blocks(model: FrscnModel, states: np.ndarray, u: np.ndarray) -> list:

@@ -31,7 +31,6 @@ class OnlineState:
     h: np.ndarray
     a: float = 1.0
     c: float = 1e-2
-    step_count: int = 0
 
     def assert_spd(self):
         """Cholesky-feasibility probe of the gain matrix."""
@@ -70,7 +69,6 @@ def online_step(st: OnlineState, g_n: np.ndarray, t_n: np.ndarray):
     hg = st.h @ g
     st.h -= np.outer(hg, hg) / (1.0 + g @ hg)
     st.theta += st.a * np.outer(e_s, st.h @ g)
-    st.step_count += 1
     return st, e_s
 
 
@@ -85,18 +83,21 @@ def run_online(model: FrscnModel, st: OnlineState, ds: TimeSeriesDataset):
     model's per-rule readouts. Returns (updated model, error trace L x n_updates).
     """
     if ds.n_inputs != model.n_inputs or ds.n_outputs != model.n_outputs:
-        raise ValueError("dataset dimensions do not match the model")
+        raise ValueError(f"model is {model.n_inputs} in / {model.n_outputs} out, "
+                         f"data is {ds.n_inputs} in / {ds.n_outputs} out")
     targets = model.normalization.apply_targets(ds.targets)
     errors = []
-    for chunk, phi, blocks in feature_chunks(model, ds.inputs):
-        g = stacked_features(phi, blocks)
-        for n in range(max(chunk.start, ds.washout), chunk.start + g.shape[1]):
-            _, e_s = online_step(st, g[:, n - chunk.start], targets[:, n])
-            if e_s is None:
-                continue
-            if not np.isfinite(st.theta).all():
-                raise ValueError(f"online readout diverged at sample {n + 1} (c={st.c:g})")
-            errors.append(e_s)
+    # an overflowing update is reported by the divergence check below
+    with np.errstate(over="ignore"):
+        for chunk, phi, blocks in feature_chunks(model, ds.inputs):
+            g = stacked_features(phi, blocks)
+            for n in range(max(chunk.start, ds.washout), chunk.start + g.shape[1]):
+                _, e_s = online_step(st, g[:, n - chunk.start], targets[:, n])
+                if e_s is None:
+                    continue
+                if not np.isfinite(st.theta).all():
+                    raise ValueError(f"online readout diverged at sample {n + 1} (c={st.c:g})")
+                errors.append(e_s)
 
     updated = replace_readout(model, st.theta)
     trace = np.array(errors).T if errors else np.zeros((model.n_outputs, 0))

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    """Logistic function; like np.tanh, writes into out when it is given."""
+    return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 ACTIVATIONS = {"tanh": np.tanh, "sigmoid": sigmoid}
@@ -27,27 +28,12 @@ def spectral_radius(w_r: np.ndarray) -> float:
     return float(np.abs(np.diag(w_r)).max())
 
 
-def max_singular_value(m: np.ndarray, iters: int = 200, tol: float = 1e-10) -> float:
-    """Largest singular value via power iteration on m^T m."""
+def max_singular_value(m: np.ndarray) -> float:
+    """Largest singular value (the spectral norm); 0 for an empty matrix."""
     m = np.atleast_2d(m)
-    if m.size == 0 or not m.any():
+    if m.size == 0:
         return 0.0
-    a = m.T @ m
-    n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (a @ v))
-        if abs(new_lam - lam) < tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(m, 2))
 
 
 def rescale_triangular(w_r: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:

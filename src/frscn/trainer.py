@@ -123,39 +123,28 @@ class TrainReport:
         return cls(**d)
 
 
-def evaluate_xi(residual: np.ndarray, candidate_state: np.ndarray, r: float, mu: float):
-    """Supervisory score of one candidate against the current residual.
+def evaluate_xi(residual: np.ndarray, candidate_states: np.ndarray, r: float, mu: float):
+    """Supervisory scores of candidates against the current residual.
 
-    residual is L x n' and candidate_state length n', both restricted to
-    post-washout samples. Per output dimension q:
+    residual is L x n' and candidate_states G x n' (a 1-D state is one
+    candidate), both restricted to post-washout samples. Per candidate g and
+    output dimension q:
 
         xi_q = <e_q, g>^2 / <g, g> - (1 - mu - r) <e_q, e_q>
 
-    Returns (sum over q, per-dimension vector). A zero candidate state fails
-    the constraint by convention (xi = -inf) rather than raising.
+    Returns (sums over q, shape G; per-dimension scores, G x L). A zero
+    candidate state fails the constraint by convention (xi = -inf) rather
+    than raising.
     """
     if not 0 < r < 1:
         raise ValueError("r must be in (0, 1)")
     if not 0 <= mu <= 1 - r:
         raise ValueError("mu must satisfy 0 <= mu <= 1 - r")
     e = np.atleast_2d(np.asarray(residual, dtype=float))
-    g = np.asarray(candidate_state, dtype=float).ravel()
-    gg = float(g @ g)
-    if gg <= 0.0:
-        xi_q = np.full(e.shape[0], -np.inf)
-        return float("-inf"), xi_q
-    corr = e @ g
-    xi_q = corr**2 / gg - (1.0 - mu - r) * (e * e).sum(axis=1)
-    return float(xi_q.sum()), xi_q
-
-
-def _batch_xi(residual: np.ndarray, states: np.ndarray, r: float, mu: float):
-    """evaluate_xi over a G x n' batch of candidate states; returns (G,), (G, L)."""
-    gg = (states * states).sum(axis=1)
-    corr = states @ residual.T  # G x L
-    ee = (residual * residual).sum(axis=1)  # L
+    s = np.atleast_2d(np.asarray(candidate_states, dtype=float))
+    gg = (s * s).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = corr**2 / gg[:, None] - (1.0 - mu - r) * ee[None, :]
+        xi = (s @ e.T) ** 2 / gg[:, None] - (1.0 - mu - r) * (e * e).sum(axis=1)
     xi[gg <= 0.0] = -np.inf
     return xi.sum(axis=1), xi
 
@@ -221,21 +210,16 @@ def _candidate_states(res, w_in_c, w_r_c, b_c, inputs, state_cache):
     n_cand, n_steps = w_in_c.shape[0], inputs.shape[1]
     # time-major layout so each step works on a contiguous row
     pre = (w_in_c @ inputs + b_c[:, None]).T.copy()
-    if n:
-        # feedback reads the accepted nodes' states one step back; x(0) = 0
-        pre[1:] += (w_r_c[:, :n] @ state_cache[:, :-1]).T
+    # feedback reads the accepted nodes' states one step back; x(0) = 0
+    pre[1:] += (w_r_c[:, :n] @ state_cache[:, :-1]).T
     self_w = w_r_c[:, n]
     out = np.empty((n_steps, n_cand))
     x = np.zeros(n_cand)
     buf = np.empty(n_cand)
-    use_tanh = g is np.tanh
     for t in range(n_steps):
         np.multiply(self_w, x, out=buf)
         buf += pre[t]
-        if use_tanh:
-            x = np.tanh(buf, out=out[t])
-        else:
-            out[t] = x = g(buf)
+        x = g(buf, out=out[t])
     return out.T
 
 
@@ -300,7 +284,6 @@ def train_sub_reservoir(
     report.residual_trace.append(resid)
 
     while resid > cfg.epsilon and res.n_nodes < cfg.n_max:
-        accepted = False
         # Feedback-row budget keeping sigma_max of the grown matrix <= alpha:
         # ||G x||^2 <= (sigma_max^2 + ||row||^2) ||x||^2 for an appended row.
         # The alpha/2 term stops any single node from hoarding the budget.
@@ -308,51 +291,49 @@ def train_sub_reservoir(
         # Weight scales escalate only after the whole relaxation schedule
         # fails at the current scale: when the candidate pool at this lambda
         # is empty, r is relaxed and a fresh pool is drawn at the same scale.
-        for lam in cfg.lambda_grid:
-            for r in _relaxation_values(cfg.r_schedule, rng):
-                mu = (1.0 - r) / (res.n_nodes + 1)
-                dens = rng.uniform(*cfg.sparsity_range, cfg.g_max)
-                w_in_c = rng.uniform(-lam, lam, (cfg.g_max, k))
-                w_r_c = _masked_uniform(rng, lam, (cfg.g_max, res.n_nodes + 1), dens[:, None])
-                w_r_c[:, res.n_nodes] = rng.uniform(-lam, lam, cfg.g_max)
-                b_c = rng.uniform(-lam, lam, cfg.g_max)
-                norms = np.linalg.norm(w_r_c, axis=1)
-                over = norms > budget
-                if over.any():
-                    w_r_c[over] *= (budget / np.where(norms > 0, norms, 1.0))[over, None]
-                cand = _candidate_states(res, w_in_c, w_r_c, b_c, u, states)
-                xi_total, xi_q = _batch_xi(resid_mat, cand[:, washout:], r, mu)
-                passing = np.isfinite(xi_total) & (xi_q.min(axis=1) >= 0.0)
-                if not passing.any():
-                    continue
-                ranked = np.argsort(xi_total)[::-1]
-                ranked = [i for i in ranked if passing[i]][:_MAX_ACCEPT_TRIES]
-                for idx in ranked:
-                    grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
-                    new_states = np.vstack([states, cand[idx]])
-                    w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
-                    new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
-                    if new_resid <= resid * (1.0 + _GUARD_RTOL):
-                        if accept_hook is not None:
-                            accept_hook(resid_mat.copy(), cand[idx, washout:].copy(), r, mu)
-                        if fallback:
-                            report.ridge_fallbacks.append(grown.n_nodes)
-                        res = replace(grown, w_out=w_out)
-                        smax = max_singular_value(res.w_r)
-                        states = new_states
-                        resid_mat, resid = new_resid_mat, new_resid
-                        report.residual_trace.append(resid)
-                        report.accepted_lambda.append(lam)
-                        report.accepted_xi.append(float(xi_total[idx]))
-                        report.accepted_r.append(r)
-                        accepted = True
-                        break
-                    report.guard_rejections += 1
-                if accepted:
+        # The r values of each scale are drawn only when reached, so the rng
+        # interleaves them with the pool draws.
+        attempts = ((lam, r) for lam in cfg.lambda_grid
+                    for r in _relaxation_values(cfg.r_schedule, rng))
+        for lam, r in attempts:
+            mu = (1.0 - r) / (res.n_nodes + 1)
+            dens = rng.uniform(*cfg.sparsity_range, cfg.g_max)
+            w_in_c = rng.uniform(-lam, lam, (cfg.g_max, k))
+            w_r_c = _masked_uniform(rng, lam, (cfg.g_max, res.n_nodes + 1), dens[:, None])
+            w_r_c[:, res.n_nodes] = rng.uniform(-lam, lam, cfg.g_max)
+            b_c = rng.uniform(-lam, lam, cfg.g_max)
+            norms = np.linalg.norm(w_r_c, axis=1)
+            over = norms > budget
+            if over.any():
+                w_r_c[over] *= (budget / np.where(norms > 0, norms, 1.0))[over, None]
+            cand = _candidate_states(res, w_in_c, w_r_c, b_c, u, states)
+            xi_total, xi_q = evaluate_xi(resid_mat, cand[:, washout:], r, mu)
+            passing = np.isfinite(xi_total) & (xi_q.min(axis=1) >= 0.0)
+            ranked = [i for i in np.argsort(xi_total)[::-1] if passing[i]][:_MAX_ACCEPT_TRIES]
+            for idx in ranked:
+                grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
+                new_states = np.vstack([states, cand[idx]])
+                w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
+                new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
+                if new_resid <= resid * (1.0 + _GUARD_RTOL):
                     break
-            if accepted:
-                break
-        if not accepted:
+                report.guard_rejections += 1
+            else:
+                continue  # no candidate passed both the screen and the guard
+            if accept_hook is not None:
+                accept_hook(resid_mat.copy(), cand[idx, washout:].copy(), r, mu)
+            if fallback:
+                report.ridge_fallbacks.append(grown.n_nodes)
+            res = replace(grown, w_out=w_out)
+            smax = max_singular_value(res.w_r)
+            states = new_states
+            resid_mat, resid = new_resid_mat, new_resid
+            report.residual_trace.append(resid)
+            report.accepted_lambda.append(lam)
+            report.accepted_xi.append(float(xi_total[idx]))
+            report.accepted_r.append(r)
+            break
+        else:
             report.stop_reason = "no-candidate"
             break
 

@@ -186,6 +186,12 @@ class TestTrainPredictEval:
         assert run(["predict", "--model", str(mp),
                     "--data", str(data_dir / "test.csv"),
                     "--out", str(tmp_path / "p.csv")]) == 1
+        assert run(["eval", "--model", str(mp), "--data", str(data_dir / "test.csv")]) == 1
+        out_model = tmp_path / "m3_online.json"
+        assert run(["online", "--model", str(mp), "--data", str(data_dir / "test.csv"),
+                    "--out-model", str(out_model),
+                    "--out-trace", str(tmp_path / "t.csv")]) == 1
+        assert not out_model.exists()
 
 
 class TestOnlineCommand:
@@ -222,7 +228,7 @@ class TestOnlineCommand:
                           - stacked_readout(load_model(model_path))).max()
         assert movement < 1e-3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_diverging_readout_exits_1_without_writing(self, data_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert run(["train", "--data", str(data_dir / "train.csv"), "--seed", "2",

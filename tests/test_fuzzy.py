@@ -133,12 +133,25 @@ class TestFireStrengths:
         for j in range(40):
             assert np.abs(phi_m[:, j] - fire_strengths(bank, inputs[:, j])).max() < 1e-14
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_column_goes_to_the_nearest_rules(self):
+        # 1e160 widths from both centers: every z**2 overflows
+        near_far = FuzzyRuleBank(centers=[[0.0], [1e200]], widths=[[1.0], [1.0]])
+        assert fire_strengths(near_far, [1e160]).tolist() == [1.0, 0.0]
+        tied = FuzzyRuleBank(centers=[[0.0], [1.0]], widths=[[1.0], [1.0]])
+        assert fire_strengths(tied, [1e160]).tolist() == [0.5, 0.5]
+        # the other columns of the same matrix keep their values
+        phi = fire_strength_matrix(tied, [[0.3, 1e160]])
+        assert phi[:, 0].tolist() == fire_strengths(tied, [0.3]).tolist()
+        assert phi[:, 1].tolist() == [0.5, 0.5]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), q=st.integers(1, 8), k=st.integers(1, 10), n=st.integers(1, 12))
     def test_vector_is_the_matrix_column(self, data, q, k, n):
         finite = st.floats(-1e3, 1e3)
-        # outliers far beyond 1e3 widths from every center, short of overflowing z**2
-        inputs = st.one_of(finite, st.floats(-1e100, 1e100))
+        # outliers far beyond 1e3 widths from every center, up to overflowing z**2
+        inputs = st.one_of(finite, st.floats(-1e300, 1e300))
         bank = FuzzyRuleBank(
             centers=data.draw(arrays(float, (q, k), elements=finite)),
             widths=data.draw(arrays(float, (q, k), elements=st.floats(1e-3, 1e2))),

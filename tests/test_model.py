@@ -94,6 +94,16 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, np.zeros((5, 10)))
 
+    def test_session_rejects_wrong_input_length(self, plant_train):
+        # normalization is on, so a short input would broadcast over both dims
+        model = train_fesn(plant_train, q=2, esn_cfg=EsnConfig(n_nodes=5))
+        session = model.session()
+        for u in (np.array([0.5]), np.array([0.5, 0.5, 0.5])):
+            with pytest.raises(ValueError, match="expected 2 input dims"):
+                session.step(u)
+            with pytest.raises(ValueError, match="expected 2 input dims"):
+                session.features(u)
+
     def test_session_matches_batch_predict(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, q=2)

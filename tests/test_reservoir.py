@@ -78,8 +78,13 @@ class TestSpectralMath:
             ref = np.linalg.svd(w, compute_uv=False)[0]
             assert max_singular_value(w) == pytest.approx(ref, rel=1e-6)
 
+    def test_max_singular_value_is_exact_for_close_singular_values(self):
+        # a power iteration converges slowly here and stops short of 1
+        assert max_singular_value(np.diag([1.0, 0.999])) == pytest.approx(1.0, rel=1e-12)
+
     def test_zero_matrix(self):
         assert max_singular_value(np.zeros((4, 4))) == 0.0
+        assert max_singular_value(np.zeros((0, 0))) == 0.0
         assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 

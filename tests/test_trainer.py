@@ -40,6 +40,21 @@ class TestEvaluateXi:
         assert xi == float("-inf")
         assert np.all(np.isneginf(xi_q))
 
+    def test_batch_matches_rows_scored_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        e = rng.normal(size=(2, 40))
+        states = rng.normal(size=(6, 40))
+        states[2] = 0.0
+        xi, xi_q = evaluate_xi(e, states, r=0.99, mu=0.002)
+        assert xi.shape == (6,) and xi_q.shape == (6, 2)
+        for i in (0, 1, 3, 4, 5):
+            row, row_q = evaluate_xi(e, states[i], r=0.99, mu=0.002)
+            assert row.shape == (1,) and row_q.shape == (1, 2)
+            assert xi[i] == pytest.approx(row[0], rel=1e-12)
+            assert xi_q[i] == pytest.approx(row_q[0], rel=1e-12)
+        assert xi[2] == float("-inf")
+        assert np.all(np.isneginf(xi_q[2]))
+
     def test_parameter_validation(self):
         e, g = np.ones((1, 3)), np.ones(3)
         with pytest.raises(ValueError):
