@@ -227,21 +227,37 @@ class NormalizationStats:
     enabled: bool = True
 
     def apply_inputs(self, u: np.ndarray) -> np.ndarray:
-        return _affine_forward(u, self.input_min, self.input_max) if self.enabled else np.asarray(u, dtype=float)
+        u = _checked_rows(u, self.input_min, "inputs")
+        return _affine_forward(u, self.input_min, self.input_max) if self.enabled else u
 
     def invert_inputs(self, u: np.ndarray) -> np.ndarray:
-        return _affine_backward(u, self.input_min, self.input_max) if self.enabled else np.asarray(u, dtype=float)
+        u = _checked_rows(u, self.input_min, "inputs")
+        return _affine_backward(u, self.input_min, self.input_max) if self.enabled else u
 
     def apply_targets(self, t: np.ndarray) -> np.ndarray:
-        return _affine_forward(t, self.target_min, self.target_max) if self.enabled else np.asarray(t, dtype=float)
+        t = _checked_rows(t, self.target_min, "targets")
+        return _affine_forward(t, self.target_min, self.target_max) if self.enabled else t
 
     def invert_targets(self, t: np.ndarray) -> np.ndarray:
-        return _affine_backward(t, self.target_min, self.target_max) if self.enabled else np.asarray(t, dtype=float)
+        t = _checked_rows(t, self.target_min, "targets")
+        return _affine_backward(t, self.target_min, self.target_max) if self.enabled else t
 
     def apply(self, ds: TimeSeriesDataset) -> TimeSeriesDataset:
         if not self.enabled:
             return ds
         return replace(ds, inputs=self.apply_inputs(ds.inputs), targets=self.apply_targets(ds.targets))
+
+
+def _checked_rows(x, lo: np.ndarray, what: str) -> np.ndarray:
+    """x as a float array whose row count (dimensions) matches the stats.
+
+    A mismatch would broadcast silently against the per-dimension bounds.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = x.shape[0] if x.ndim > 1 else 1
+    if rows != lo.shape[0]:
+        raise ValueError(f"{what} have {rows} rows; the normalization stats have {lo.shape[0]}")
+    return x
 
 
 def _affine_forward(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

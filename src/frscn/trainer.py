@@ -16,6 +16,7 @@ earlier state rows never change, and the trace is monotone by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -29,6 +30,11 @@ _GUARD_RTOL = 1e-12
 _MAX_TAU_RELAX = 50
 # How many top-ranked candidates to try before declaring the batch failed.
 _MAX_ACCEPT_TRIES = 3
+# Candidate pools rolled out together in one recurrence loop. The loop's cost
+# is per-step dispatch, not width, so a batch costs little more than one pool;
+# pools after an accepted one are wasted, and each pool adds g_max * n_steps
+# floats to the workspace.
+_SCREEN_POOLS = 3
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,9 @@ class TrainReport:
 
     residual_trace[0] is the residual F-norm after the initial readout fit;
     each later entry follows one accepted node. The trace is non-increasing.
+    counters["pools_screened"] counts the candidate pools whose xi was
+    evaluated; counters["pools_rolled_out"] also counts the pools rolled out
+    ahead of an acceptance and discarded unjudged.
     """
 
     residual_trace: list = field(default_factory=list)
@@ -100,6 +109,7 @@ class TrainReport:
     final_nrmse: float = float("nan")
     ridge_fallbacks: list = field(default_factory=list)
     guard_rejections: int = 0
+    counters: dict = field(default_factory=dict)
 
     def is_monotone(self, slack: float = 1e-10) -> bool:
         t = self.residual_trace
@@ -116,6 +126,7 @@ class TrainReport:
             "final_nrmse": float(self.final_nrmse),
             "ridge_fallbacks": list(self.ridge_fallbacks),
             "guard_rejections": self.guard_rejections,
+            "counters": dict(self.counters),
         }
 
     @classmethod
@@ -198,29 +209,56 @@ def _masked_uniform(rng, lam, shape, density):
     return vals * keep
 
 
-def _candidate_states(res, w_in_c, w_r_c, b_c, inputs, state_cache):
-    """States of each candidate node stacked G x n.
+def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
+    """One pool of g_max candidate nodes at weight scale lam: (w_in_c, w_r_c, b_c).
 
-    Exact under triangularity: a new node reads only the cached states of
-    accepted nodes plus its own previous state, so no full re-rollout is
-    needed during screening.
+    Each feedback row is norm-capped to budget, so whichever candidate is
+    accepted keeps the grown matrix's sigma_max at or below alpha.
+    """
+    dens = rng.uniform(*cfg.sparsity_range, cfg.g_max)
+    w_in_c = rng.uniform(-lam, lam, (cfg.g_max, k))
+    w_r_c = _masked_uniform(rng, lam, (cfg.g_max, n_nodes + 1), dens[:, None])
+    w_r_c[:, n_nodes] = rng.uniform(-lam, lam, cfg.g_max)
+    b_c = rng.uniform(-lam, lam, cfg.g_max)
+    norms = np.linalg.norm(w_r_c, axis=1)
+    over = norms > budget
+    if over.any():
+        w_r_c[over] *= (budget / np.where(norms > 0, norms, 1.0))[over, None]
+    return w_in_c, w_r_c, b_c
+
+
+def _candidate_states(res, pools, inputs, state_cache, work, scratch):
+    """States of every candidate of every pool: one G x n view per pool.
+
+    All pools advance together in one loop over time, writing into the
+    time-major workspace work (n x at least len(pools) * G), so the views
+    are valid until the next call; scratch (G x n) holds one pool's
+    pre-activations at a time. Exact under triangularity: a new node reads
+    only the cached states of accepted nodes plus its own previous state, so
+    no full re-rollout is needed during screening.
     """
     g = ACTIVATIONS[res.activation]
     n = res.n_nodes
-    n_cand, n_steps = w_in_c.shape[0], inputs.shape[1]
-    # time-major layout so each step works on a contiguous row
-    pre = (w_in_c @ inputs + b_c[:, None]).T.copy()
-    # feedback reads the accepted nodes' states one step back; x(0) = 0
-    pre[1:] += (w_r_c[:, :n] @ state_cache[:, :-1]).T
-    self_w = w_r_c[:, n]
-    out = np.empty((n_steps, n_cand))
-    x = np.zeros(n_cand)
-    buf = np.empty(n_cand)
-    for t in range(n_steps):
+    n_cand = pools[0][0].shape[0]
+    out = work[:, :len(pools) * n_cand]
+    cols = [slice(j * n_cand, (j + 1) * n_cand) for j in range(len(pools))]
+    for (w_in_c, w_r_c, b_c), col in zip(pools, cols):
+        # One product per pool: a single gemm over all pools runs other BLAS
+        # kernels and does not reproduce a pool screened alone bit for bit.
+        pre = np.matmul(w_in_c, inputs, out=scratch)
+        pre += b_c[:, None]
+        # feedback reads the accepted nodes' states one step back; x(0) = 0
+        pre[:, 1:] += w_r_c[:, :n] @ state_cache[:, :-1]
+        out[:, col] = pre.T
+    self_w = np.concatenate([w_r_c[:, n] for _, w_r_c, _ in pools])
+    x = np.zeros(out.shape[1])
+    buf = np.empty(out.shape[1])
+    # each step overwrites its pre-activation row with the states it produces
+    for row in out:
         np.multiply(self_w, x, out=buf)
-        buf += pre[t]
-        x = g(buf, out=out[t])
-    return out.T
+        buf += row
+        x = g(buf, out=row)
+    return [out[:, col].T for col in cols]
 
 
 def _relaxation_values(r_schedule, rng):
@@ -237,6 +275,22 @@ def _relaxation_values(r_schedule, rng):
         yield r
 
 
+def _pool_attempts(rng, cfg, n_nodes, k, budget):
+    """Yield (lam, r, pool, rng state after the draw) for one node's attempts.
+
+    Weight scales escalate only after the whole relaxation schedule fails at
+    the current scale: when the candidate pool at this lambda is empty, r is
+    relaxed and a fresh pool is drawn at the same scale. The r values of each
+    scale are drawn only when reached, so the rng interleaves them with the
+    pool draws. Restoring an attempt's state resumes the rng as if no later
+    attempt had been drawn.
+    """
+    for lam in cfg.lambda_grid:
+        for r in _relaxation_values(cfg.r_schedule, rng):
+            pool = _draw_pool(rng, cfg, lam, n_nodes, k, budget)
+            yield lam, r, pool, rng.bit_generator.state
+
+
 def train_sub_reservoir(
     train: TimeSeriesDataset,
     cfg: ScConfig,
@@ -246,11 +300,19 @@ def train_sub_reservoir(
     """Grow one sub-reservoir on the full target until tolerance or size cap.
 
     Starts from ``cfg.initial_size`` randomly assigned nodes at the smallest
-    weight scale, then repeatedly screens g_max candidates per weight scale,
-    accepting the xi maximizer and refitting the readout globally. Candidate
-    feedback rows are norm-capped up front so the grown matrix never exceeds
-    the alpha singular-value budget; the screened states are therefore exactly
-    the committed states and no re-rollout is needed.
+    weight scale. Each further node walks the (lambda, r) attempts: every
+    attempt draws a pool of g_max candidates and scores it with xi; of the
+    candidates passing the screen, up to _MAX_ACCEPT_TRIES are tried in xi
+    order, and the first whose global readout refit does not raise the
+    residual is accepted. Growth stops at tolerance, at n_max, or when every
+    attempt fails ("no-candidate"). Candidate feedback rows are norm-capped
+    up front so the grown matrix never exceeds the alpha singular-value
+    budget; the screened states are therefore exactly the committed states
+    and no re-rollout is needed.
+
+    Pools are rolled out _SCREEN_POOLS at a time and judged in attempt order;
+    on an acceptance the rng is reset to just after the accepted pool's
+    draws, so the result is identical to screening one pool at a time.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, for instrumentation.
 
@@ -283,57 +345,60 @@ def train_sub_reservoir(
     resid_mat, resid = _residual(w_out, states, u, t, washout)
     report.residual_trace.append(resid)
 
+    # Buffers reused by every node: the states of one batch of pools, and a
+    # G x n scratch for one pool's pre-activations, then for the pool judged.
+    work = np.empty((u.shape[1], _SCREEN_POOLS * cfg.g_max))
+    scratch = np.empty((cfg.g_max, u.shape[1]))
+    counters = report.counters = {"pools_screened": 0, "pools_rolled_out": 0}
     while resid > cfg.epsilon and res.n_nodes < cfg.n_max:
         # Feedback-row budget keeping sigma_max of the grown matrix <= alpha:
         # ||G x||^2 <= (sigma_max^2 + ||row||^2) ||x||^2 for an appended row.
         # The alpha/2 term stops any single node from hoarding the budget.
         budget = min(cfg.alpha / 2.0, np.sqrt(max(cfg.alpha**2 - smax**2, 0.0)))
-        # Weight scales escalate only after the whole relaxation schedule
-        # fails at the current scale: when the candidate pool at this lambda
-        # is empty, r is relaxed and a fresh pool is drawn at the same scale.
-        # The r values of each scale are drawn only when reached, so the rng
-        # interleaves them with the pool draws.
-        attempts = ((lam, r) for lam in cfg.lambda_grid
-                    for r in _relaxation_values(cfg.r_schedule, rng))
-        for lam, r in attempts:
-            mu = (1.0 - r) / (res.n_nodes + 1)
-            dens = rng.uniform(*cfg.sparsity_range, cfg.g_max)
-            w_in_c = rng.uniform(-lam, lam, (cfg.g_max, k))
-            w_r_c = _masked_uniform(rng, lam, (cfg.g_max, res.n_nodes + 1), dens[:, None])
-            w_r_c[:, res.n_nodes] = rng.uniform(-lam, lam, cfg.g_max)
-            b_c = rng.uniform(-lam, lam, cfg.g_max)
-            norms = np.linalg.norm(w_r_c, axis=1)
-            over = norms > budget
-            if over.any():
-                w_r_c[over] *= (budget / np.where(norms > 0, norms, 1.0))[over, None]
-            cand = _candidate_states(res, w_in_c, w_r_c, b_c, u, states)
-            xi_total, xi_q = evaluate_xi(resid_mat, cand[:, washout:], r, mu)
-            passing = np.isfinite(xi_total) & (xi_q.min(axis=1) >= 0.0)
-            ranked = [i for i in np.argsort(xi_total)[::-1] if passing[i]][:_MAX_ACCEPT_TRIES]
-            for idx in ranked:
-                grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
-                new_states = np.vstack([states, cand[idx]])
-                w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
-                new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
-                if new_resid <= resid * (1.0 + _GUARD_RTOL):
-                    break
-                report.guard_rejections += 1
-            else:
-                continue  # no candidate passed both the screen and the guard
-            if accept_hook is not None:
-                accept_hook(resid_mat.copy(), cand[idx, washout:].copy(), r, mu)
-            if fallback:
-                report.ridge_fallbacks.append(grown.n_nodes)
-            res = replace(grown, w_out=w_out)
-            smax = max_singular_value(res.w_r)
-            states = new_states
-            resid_mat, resid = new_resid_mat, new_resid
-            report.residual_trace.append(resid)
-            report.accepted_lambda.append(lam)
-            report.accepted_xi.append(float(xi_total[idx]))
-            report.accepted_r.append(r)
-            break
-        else:
+        attempts = _pool_attempts(rng, cfg, res.n_nodes, k, budget)
+        accepted = False
+        while not accepted and (batch := list(islice(attempts, _SCREEN_POOLS))):
+            counters["pools_rolled_out"] += len(batch)
+            cands = _candidate_states(res, [pool for _, _, pool, _ in batch], u, states, work, scratch)
+            for (lam, r, (w_in_c, w_r_c, b_c), rng_state), cand in zip(batch, cands):
+                counters["pools_screened"] += 1
+                # Score the memory layout of a pool rolled out alone: on a
+                # strided view of a narrow pool, BLAS can sum <e, g> in another
+                # order and move xi in the last bits.
+                alone = scratch.reshape(cand.shape[::-1])
+                alone[...] = cand.T
+                cand = alone.T
+                mu = (1.0 - r) / (res.n_nodes + 1)
+                xi_total, xi_q = evaluate_xi(resid_mat, cand[:, washout:], r, mu)
+                passing = np.isfinite(xi_total) & (xi_q.min(axis=1) >= 0.0)
+                ranked = [i for i in np.argsort(xi_total)[::-1] if passing[i]][:_MAX_ACCEPT_TRIES]
+                for idx in ranked:
+                    grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
+                    new_states = np.vstack([states, cand[idx]])
+                    w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
+                    new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
+                    if new_resid <= resid * (1.0 + _GUARD_RTOL):
+                        break
+                    report.guard_rejections += 1
+                else:
+                    continue  # no candidate passed both the screen and the guard
+                # drop the draws of the pools after this one, unjudged
+                rng.bit_generator.state = rng_state
+                if accept_hook is not None:
+                    accept_hook(resid_mat.copy(), cand[idx, washout:].copy(), r, mu)
+                if fallback:
+                    report.ridge_fallbacks.append(grown.n_nodes)
+                res = replace(grown, w_out=w_out)
+                smax = max_singular_value(res.w_r)
+                states = new_states
+                resid_mat, resid = new_resid_mat, new_resid
+                report.residual_trace.append(resid)
+                report.accepted_lambda.append(lam)
+                report.accepted_xi.append(float(xi_total[idx]))
+                report.accepted_r.append(r)
+                accepted = True
+                break
+        if not accepted:
             report.stop_reason = "no-candidate"
             break
 

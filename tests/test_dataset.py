@@ -233,3 +233,23 @@ class TestNormalization:
         stats = fit_normalization(ds, enabled=False)
         assert np.array_equal(stats.apply_inputs(ds.inputs), ds.inputs)
         assert stats.apply(ds) is ds
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "method, rows, expected",
+        [
+            ("apply_inputs", 1, 2),
+            ("invert_inputs", 3, 2),
+            ("apply_targets", 1, 3),
+            ("invert_targets", 2, 3),
+        ],
+    )
+    def test_wrong_row_count_raises(self, method, rows, expected, enabled):
+        # 2 input dimensions, 3 target dimensions: a mismatched array must not
+        # broadcast against the per-dimension bounds
+        rng = np.random.default_rng(5)
+        stats = fit_normalization(TimeSeriesDataset(rng.normal(size=(2, 20)), rng.normal(size=(3, 20))),
+                                  enabled=enabled)
+        with pytest.raises(ValueError, match=f"have {rows} rows; the normalization stats have {expected}"):
+            getattr(stats, method)(np.full((rows, 4), 0.5))
+        assert getattr(stats, method)(np.full((expected, 4), 0.5)).shape == (expected, 4)

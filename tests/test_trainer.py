@@ -10,6 +10,7 @@ from frscn import (
     generate_plant_sequence,
     train_sub_reservoir,
 )
+from frscn import trainer
 
 
 class TestEvaluateXi:
@@ -222,3 +223,67 @@ class TestTrainSubReservoir:
         assert clone.residual_trace == rep.residual_trace
         assert clone.stop_reason == rep.stop_reason
         assert clone.n_nodes == rep.n_nodes
+
+    def test_report_without_counters_still_loads(self, plant_train):
+        _, rep = train_sub_reservoir(plant_train, ScConfig(n_max=8), seed=2)
+        d = rep.to_dict()
+        assert TrainReport.from_dict(d).counters == rep.counters
+        del d["counters"]  # reports written before the counters existed
+        assert TrainReport.from_dict(d).counters == {}
+
+
+class TestBatchedScreening:
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_pools_rolled_out_together_match_each_alone(self, plant_train, activation):
+        # g_max = 7 puts each pool at a different offset within a SIMD vector
+        cfg = ScConfig(n_max=8, g_max=7, activation=activation)
+        res, _ = train_sub_reservoir(plant_train, cfg, seed=4)
+        u = plant_train.inputs
+        states = res.rollout(u)
+        rng = np.random.default_rng(0)
+        pools = [trainer._draw_pool(rng, cfg, lam, res.n_nodes, u.shape[0], 0.3) for lam in (0.1, 5.0, 100.0)]
+        scratch = np.empty((cfg.g_max, u.shape[1]))
+        together = trainer._candidate_states(res, pools, u, states, np.empty((u.shape[1], 3 * cfg.g_max)), scratch)
+        assert len(together) == 3
+        for pool, batched in zip(pools, together):
+            alone = trainer._candidate_states(res, [pool], u, states, np.empty((u.shape[1], cfg.g_max)), scratch)
+            assert batched.shape == (cfg.g_max, u.shape[1])
+            assert np.array_equal(batched, alone[0])
+
+    @pytest.mark.parametrize(
+        "kwargs, seed, stop_reason",
+        [
+            ({"n_max": 20}, 9, "size-cap"),
+            ({"n_max": 20, "activation": "sigmoid"}, 3, "size-cap"),
+            ({"n_max": 40, "g_max": 2, "lambda_grid": (0.1,)}, 1, "no-candidate"),
+        ],
+    )
+    def test_same_growth_as_one_pool_at_a_time(self, plant_train, monkeypatch, kwargs, seed, stop_reason):
+        cfg = ScConfig(**kwargs)
+
+        def grow():
+            accepted = []
+            res, rep = train_sub_reservoir(plant_train, cfg, seed=seed,
+                                           accept_hook=lambda e, g, r, mu: accepted.append((r, mu)))
+            return res, rep, accepted
+
+        width = trainer._SCREEN_POOLS
+        assert width > 1
+        res_b, rep_b, hook_b = grow()
+        monkeypatch.setattr(trainer, "_SCREEN_POOLS", 1)
+        res_s, rep_s, hook_s = grow()
+
+        assert rep_s.stop_reason == stop_reason
+        for field in ("w_in", "w_r", "b", "w_out"):
+            assert np.array_equal(getattr(res_b, field), getattr(res_s, field))
+        assert hook_b == hook_s
+        d_b, d_s = rep_b.to_dict(), rep_s.to_dict()
+        rolled_b = d_b["counters"].pop("pools_rolled_out")
+        rolled_s = d_s["counters"].pop("pools_rolled_out")
+        assert d_b == d_s
+        # serial screening wastes nothing; batches waste at most the pools
+        # after each accepted one
+        screened, n_accepted = rep_s.counters["pools_screened"], len(rep_s.accepted_r)
+        assert rolled_s == screened
+        assert rolled_b >= screened >= n_accepted
+        assert rolled_b - screened <= (width - 1) * (n_accepted + 1)
