@@ -268,7 +268,8 @@ def cmd_online(args, cfg) -> int:
     _write_series_csv(args.out_trace, header,
                       [list(range(1, trace.shape[1] + 1))] + [list(row) for row in trace])
     moved = float(np.linalg.norm(st_theta0 - state.theta))
-    print(f"online pass over {trace.shape[1]} samples; readout moved {moved:.6g}")
+    print(f"online pass over {trace.shape[1]} samples, {state.skipped} skipped as non-finite; "
+          f"readout moved {moved:.6g}; smallest diag(H) {np.diagonal(state.h).min():.6g}")
     print(f"updated model -> {args.out_model}, trace -> {args.out_trace}")
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -160,7 +161,8 @@ def load_csv(
     delayed by ``lag`` rows as an extra input dimension, and the first
     max-lag rows are dropped so every sample has all its lagged values.
     Lagged-regressor construction is the caller's responsibility; nothing is
-    inferred from the data.
+    inferred from the data. Blank rows are ignored; a cell that does not parse
+    raises CsvParseError naming its line in the file (the header is row 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -186,7 +188,7 @@ def load_csv(
             except (ValueError, IndexError):
                 cell = row[idx] if idx < len(row) else "<missing>"
                 raise CsvParseError(
-                    f"{path}: row {r + 2}, column {col!r}: cannot parse {cell!r}"
+                    f"{path}: row {_file_line(path, r)}, column {col!r}: cannot parse {cell!r}"
                 ) from None
         return out
 
@@ -246,6 +248,17 @@ class NormalizationStats:
         if not self.enabled:
             return ds
         return replace(ds, inputs=self.apply_inputs(ds.inputs), targets=self.apply_targets(ds.targets))
+
+
+def _file_line(path, index: int) -> int:
+    """Line of the file (the header is line 1) on which its index-th non-blank
+    data row, as load_csv counts them, ends. Found by reading the file again,
+    so that loading a file that parses keeps no line numbers."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = (reader.line_num for row in reader if row and any(c.strip() for c in row))
+        return next(islice(lines, index, None))
 
 
 def _checked_rows(x, lo: np.ndarray, what: str) -> np.ndarray:

@@ -8,12 +8,16 @@ from frscn import (
     NormalizationStats,
     OnlineState,
     SubReservoir,
+    init_online,
+    load_csv,
     load_model,
+    online_step,
     save_model,
+    stacked_features,
     stacked_readout,
 )
 from frscn.cli import default_config, load_config_file, main
-from frscn.model import FrscnModel
+from frscn.model import FrscnModel, feature_chunks
 
 
 def run(argv):
@@ -194,6 +198,20 @@ class TestTrainPredictEval:
         assert not out_model.exists()
 
 
+def first_rejected_sample(model, path, c):
+    """1-based index of the first sample whose single-sample online_step is
+    rejected, over the CLI's view of the CSV at washout 40; None if none is."""
+    data = load_csv(path, ["y", "u"], ["y_next"], washout=40)
+    st = init_online(model, c=c)
+    targets = model.normalization.apply_targets(data.targets)
+    for chunk, phi, blocks in feature_chunks(model, data.inputs):
+        g = stacked_features(phi, blocks)
+        for n in range(max(chunk.start, data.washout), chunk.start + g.shape[1]):
+            if online_step(st, g[:, n - chunk.start], targets[:, n])[1] is None:
+                return n + 1
+    return None
+
+
 class TestOnlineCommand:
     def test_online_on_own_predictions_stays_put(self, data_dir, tmp_path):
         model_path = tmp_path / "model.json"
@@ -228,21 +246,49 @@ class TestOnlineCommand:
                           - stacked_readout(load_model(model_path))).max()
         assert movement < 1e-3
 
+    def test_non_finite_feature_sample_is_skipped_and_counted(self, data_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--seed", "2",
+                    "--out-model", str(model_path),
+                    "--out-report", str(tmp_path / "rep.json"), *FAST]) == 0
+        # planted fixture: one post-washout input overflows the normalization,
+        # so that sample's G(n) column is not finite
+        lines = (data_dir / "val.csv").read_text().strip().splitlines()
+        y, _, target = lines[1 + 100].split(",")
+        lines[1 + 100] = f"{y},1e308,{target}"
+        planted = tmp_path / "planted.csv"
+        planted.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+
+        out_trace = tmp_path / "trace.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["online", "--model", str(model_path), "--data", str(planted),
+                        "--out-model", str(tmp_path / "adapted.json"),
+                        "--out-trace", str(out_trace), "--washout", "40"]) == 0
+        summary = capsys.readouterr().out
+        assert ", 1 skipped as non-finite;" in summary
+        assert "smallest diag(H) " in summary
+        rows = out_trace.read_text().strip().splitlines()[1:]
+        assert len(rows) == (len(lines) - 1) - 40 - 1
+        assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+
     @pytest.mark.filterwarnings("error")
     def test_diverging_readout_exits_1_without_writing(self, data_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert run(["train", "--data", str(data_dir / "train.csv"), "--seed", "2",
                     "--out-model", str(model_path),
                     "--out-report", str(tmp_path / "rep.json"), *FAST]) == 0
-        # a gain matrix of 1e300 I overflows Theta on the first update
+        # a gain matrix of 1e300 I drives Theta and H out of range within a few updates
         out_model = tmp_path / "adapted.json"
         assert run(["online", "--model", str(model_path),
                     "--data", str(data_dir / "val.csv"), "--online-c", "1e-300",
                     "--out-model", str(out_model),
                     "--out-trace", str(tmp_path / "trace.csv"), "--washout", "40"]) == 1
         assert not out_model.exists()
-        # the first update after the washout diverges: sample 41, 1-based
-        assert "sample 41 " in capsys.readouterr().err
+        # the block update names the sample a one-sample-at-a-time pass fails at
+        first = first_rejected_sample(load_model(model_path), data_dir / "val.csv", c=1e-300)
+        assert first is not None
+        assert f"sample {first} " in capsys.readouterr().err
 
 
 class TestPredictUnlabeled:

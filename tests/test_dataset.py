@@ -181,6 +181,11 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="row 3.*'u'"):
             load_csv(path, ["y", "u"], ["y"])
 
+    def test_parse_error_names_file_line_past_blank_rows(self, tmp_path):
+        path = self.write(tmp_path, "y,u,y_next\n1,2,3\n\n\n1,abc,3\n4,5,6\n")
+        with pytest.raises(CsvParseError, match="row 5, column 'u': cannot parse 'abc'"):
+            load_csv(path, ["y", "u"], ["y_next"])
+
     def test_too_few_rows(self, tmp_path):
         path = self.write(tmp_path, "y,u\n1,2\n3,4\n")
         with pytest.raises(ValueError):

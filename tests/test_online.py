@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from frscn import online
 from frscn import (
     FrscnModel,
     FuzzyRuleBank,
@@ -21,6 +24,7 @@ from frscn import (
     train_frscn,
 )
 from frscn.model import PREDICT_CHUNK, replace_readout
+from frscn.online import _ONLINE_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +170,90 @@ class TestOnlineStep:
         assert np.abs(np.array(preds_a) - np.array(preds_b)).max() < 1e-8
 
 
+def rank_one_loop(theta, h, a, g_cols, t_cols):
+    """Reference: one rank-one update per column, the per-sample form of the
+    projection update; returns (theta, h, priors L x b) on copies."""
+    theta, h = theta.copy(), h.copy()
+    priors = []
+    for g, t in zip(g_cols.T, t_cols.T):
+        e_s = t - theta @ g
+        hg = h @ g
+        h -= np.outer(hg, hg) / (1.0 + g @ hg)
+        theta += a * np.outer(e_s, h @ g)
+        priors.append(e_s)
+    return theta, h, np.array(priors).T
+
+
+def max_rel_diff(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+class TestBlockUpdate:
+    # unit-variance features and c in [1e-2, 1]: H shrinks by up to ~1e4 over
+    # a block, which costs the block form's single downdate about 4 digits
+    @settings(max_examples=200, deadline=None)
+    @given(dim=hst.integers(1, 12), l_dims=hst.integers(1, 3), b=hst.integers(1, 70),
+           a=hst.floats(0.0, 1.0, exclude_min=True), log_c=hst.floats(-2.0, 0.0),
+           warmup=hst.integers(0, 20), seed=hst.integers(0, 2**32 - 1))
+    def test_block_matches_rank_one_loop(self, dim, l_dims, b, a, log_c, warmup, seed):
+        rng = np.random.default_rng(seed)
+        c = 10.0**log_c
+        # start from a gain matrix that is not a multiple of I
+        theta0, h0, _ = rank_one_loop(rng.normal(size=(l_dims, dim)), np.eye(dim) / c, a,
+                                      rng.normal(size=(dim, warmup)),
+                                      rng.normal(size=(l_dims, warmup)))
+        g = rng.normal(size=(dim, b))
+        t = rng.normal(size=(l_dims, b))
+        theta_ref, h_ref, priors_ref = rank_one_loop(theta0, h0, a, g, t)
+
+        st = OnlineState(theta=theta0.copy(), h=h0.copy(), a=a, c=c)
+        _, priors = online_step(st, g, t)
+        assert priors.shape == (l_dims, b)
+        assert max_rel_diff(st.theta, theta_ref) <= 1e-9
+        assert max_rel_diff(st.h, h_ref) <= 1e-9
+        assert max_rel_diff(priors, priors_ref) <= 1e-9
+
+    @settings(max_examples=6, deadline=None)
+    @given(dim=hst.integers(1, 6), a=hst.floats(0.0, 1.0, exclude_min=True),
+           log_c=hst.floats(-3.0, 1.0), seed=hst.integers(0, 2**32 - 1))
+    def test_long_stream_stays_spd_and_finite(self, dim, a, log_c, seed):
+        # 1e5 samples of anisotropic features (scales 1 to 1e-2) in blocks of
+        # 1 to 128 samples
+        rng = np.random.default_rng(seed)
+        mix = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-2, 0, size=dim)
+        theta_star = rng.normal(size=(2, dim))
+        st = OnlineState(theta=np.zeros((2, dim)), h=np.eye(dim) / 10.0**log_c, a=a,
+                         c=10.0**log_c)
+        n = 0
+        while n < 100_000:
+            b = int(rng.integers(1, 129))
+            g = mix @ rng.normal(size=(dim, b))
+            t = theta_star @ g + 0.1 * rng.normal(size=(2, b))
+            _, e_s = online_step(st, g, t)
+            assert e_s is not None
+            n += b
+        st.assert_spd()
+        assert np.isfinite(st.theta).all()
+        assert np.isfinite(st.h).all()
+
+    def test_rejected_block_leaves_state_unchanged(self):
+        st = fresh_state(3, 1, c=1e-300)
+        theta = st.theta.copy()
+        h = st.h.copy()
+        g = np.full((3, 4), 1e200)
+        _, e_s = online_step(st, g, np.ones((1, 4)))
+        assert e_s is None
+        assert np.array_equal(st.theta, theta)
+        assert np.array_equal(st.h, h)
+
+    def test_column_count_validation(self):
+        st = fresh_state(3, 2)
+        with pytest.raises(ValueError):
+            online_step(st, np.ones((3, 4)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            online_step(st, np.ones((3, 4)), np.ones(2))
+
+
 class TestRunOnline:
     def test_stable_on_training_data(self, small_model):
         train, model = small_model
@@ -248,6 +336,37 @@ class TestRunOnline:
         assert trace.shape == ref_trace.shape == (l_dims, n_samples - ds.washout)
         assert np.abs(st.theta - ref.theta).max() <= 1e-9 * np.abs(ref.theta).max()
         assert np.abs(trace - ref_trace).max() <= 1e-9 * np.abs(ref_trace).max()
+
+    def test_rejected_blocks_replay_to_the_same_pass(self, small_model, monkeypatch):
+        train, model = small_model
+        ref = init_online(model)
+        _, ref_trace = run_online(model, ref, train)
+
+        block_step = online.online_step
+
+        def reject_blocks(st, g, t):
+            return (st, None) if np.ndim(g) == 2 else block_step(st, g, t)
+
+        monkeypatch.setattr(online, "online_step", reject_blocks)
+        st = init_online(model)
+        _, trace = run_online(model, st, train)
+        assert trace.shape == ref_trace.shape == (1, train.n_samples - train.washout)
+        assert max_rel_diff(st.theta, ref.theta) <= 1e-9
+        assert max_rel_diff(trace, ref_trace) <= 1e-9
+
+    def test_non_finite_samples_are_skipped_and_counted(self, small_model):
+        train, model = small_model
+        from dataclasses import replace
+        inputs = train.inputs.copy()
+        # each overflows the input normalization, so its G(n) is not finite
+        inputs[0, [train.washout + 5, train.washout + _ONLINE_BLOCK + 1]] = 1e308
+        st = init_online(model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = run_online(model, st, replace(train, inputs=inputs))
+        assert st.skipped == 2
+        assert trace.shape[1] == train.n_samples - train.washout - 2
+        assert np.isfinite(trace).all()
+        st.assert_spd()
 
     def test_dimension_mismatch(self, small_model):
         train, model = small_model
