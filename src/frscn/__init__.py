@@ -17,6 +17,7 @@ from .dataset import (
 from .errors import (
     CsvParseError,
     DegenerateDataError,
+    InputRangeError,
     ModelFormatError,
     SchemaError,
     UndefinedMetricError,
@@ -57,6 +58,7 @@ __all__ = [
     "FrscnModel",
     "FuzzyRuleBank",
     "GridSearchResult",
+    "InputRangeError",
     "ModelFormatError",
     "NormalizationStats",
     "OnlineState",

@@ -149,11 +149,12 @@ def build_configs(cfg: dict):
 
 
 def _write_series_csv(path, header: list, columns: list):
+    """A header row, then one row per position of the columns, which hold
+    Python ints and floats (e.g. from ndarray.tolist()); floats are written at
+    full precision by repr, with the csv module's CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -179,7 +180,7 @@ def cmd_gen_data(args, cfg) -> int:
         _write_series_csv(
             out / f"{name}.csv",
             ["y", "u", "y_next"],
-            [list(ds.inputs[0]), list(ds.inputs[1]), list(ds.targets[0])],
+            [ds.inputs[0].tolist(), ds.inputs[1].tolist(), ds.targets[0].tolist()],
         )
     meta = {
         "seed": seed,
@@ -236,8 +237,7 @@ def cmd_predict(args, cfg) -> int:
     data = _load_data(args.data, cfg, args)
     pred = predict(model, data.inputs)
     header = ["n"] + [f"prediction_{q + 1}" for q in range(pred.shape[0])]
-    _write_series_csv(args.out, header,
-                      [list(range(1, pred.shape[1] + 1))] + [list(row) for row in pred])
+    _write_series_csv(args.out, header, [range(1, pred.shape[1] + 1)] + pred.tolist())
     print(f"wrote {args.out} ({pred.shape[1]} rows)")
     return 0
 
@@ -265,8 +265,7 @@ def cmd_online(args, cfg) -> int:
     updated, trace = ol.run_online(model, state, data)
     save_model(updated, args.out_model)
     header = ["step"] + [f"e_s_{q + 1}" for q in range(trace.shape[0])]
-    _write_series_csv(args.out_trace, header,
-                      [list(range(1, trace.shape[1] + 1))] + [list(row) for row in trace])
+    _write_series_csv(args.out_trace, header, [range(1, trace.shape[1] + 1)] + trace.tolist())
     moved = float(np.linalg.norm(st_theta0 - state.theta))
     print(f"online pass over {trace.shape[1]} samples, {state.skipped} skipped as non-finite; "
           f"readout moved {moved:.6g}; smallest diag(H) {np.diagonal(state.h).min():.6g}")

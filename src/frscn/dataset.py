@@ -8,7 +8,7 @@ reservoir states and never enter any fit or metric.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -215,11 +215,40 @@ def load_csv(
     )
 
 
+class AffineMap:
+    """Per-dimension affine map of rows onto [-1, 1], from each row's [lo, hi].
+
+    The constants are computed once. Constant dimensions (hi == lo) map to 0
+    and invert back to lo; when there are none, no masking is done at all.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)[:, None]
+        self.span = np.asarray(hi, dtype=float)[:, None] - self.lo
+        self.constant = ~(self.span > 0)
+        self.safe = np.where(self.constant, 1.0, self.span)
+        self.all_varying = not self.constant.any()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """2 (x - lo) / span - 1 per row of x."""
+        # a finite x far outside [lo, hi] overflows to inf; callers that need a
+        # finite result check for it
+        with np.errstate(over="ignore"):
+            out = 2.0 * (x - self.lo) / self.safe - 1.0
+        return out if self.all_varying else np.where(self.constant, 0.0, out)
+
+    def backward(self, x: np.ndarray) -> np.ndarray:
+        """(x + 1) span / 2 + lo per row of x: the inverse of forward."""
+        out = (x + 1.0) * self.span / 2.0 + self.lo
+        return out if self.all_varying else np.where(self.constant, self.lo, out)
+
+
 @dataclass(frozen=True)
 class NormalizationStats:
     """Per-dimension affine maps onto [-1, 1], fitted on a training set.
 
     Constant dimensions (max == min) map to 0 and invert back to the constant.
+    input_map and target_map hold the maps' constants, computed once.
     """
 
     input_min: np.ndarray
@@ -227,22 +256,28 @@ class NormalizationStats:
     target_min: np.ndarray
     target_max: np.ndarray
     enabled: bool = True
+    input_map: AffineMap = field(init=False, repr=False, compare=False)
+    target_map: AffineMap = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "input_map", AffineMap(self.input_min, self.input_max))
+        object.__setattr__(self, "target_map", AffineMap(self.target_min, self.target_max))
 
     def apply_inputs(self, u: np.ndarray) -> np.ndarray:
         u = _checked_rows(u, self.input_min, "inputs")
-        return _affine_forward(u, self.input_min, self.input_max) if self.enabled else u
+        return self.input_map.forward(np.atleast_2d(u)) if self.enabled else u
 
     def invert_inputs(self, u: np.ndarray) -> np.ndarray:
         u = _checked_rows(u, self.input_min, "inputs")
-        return _affine_backward(u, self.input_min, self.input_max) if self.enabled else u
+        return self.input_map.backward(np.atleast_2d(u)) if self.enabled else u
 
     def apply_targets(self, t: np.ndarray) -> np.ndarray:
         t = _checked_rows(t, self.target_min, "targets")
-        return _affine_forward(t, self.target_min, self.target_max) if self.enabled else t
+        return self.target_map.forward(np.atleast_2d(t)) if self.enabled else t
 
     def invert_targets(self, t: np.ndarray) -> np.ndarray:
         t = _checked_rows(t, self.target_min, "targets")
-        return _affine_backward(t, self.target_min, self.target_max) if self.enabled else t
+        return self.target_map.backward(np.atleast_2d(t)) if self.enabled else t
 
     def apply(self, ds: TimeSeriesDataset) -> TimeSeriesDataset:
         if not self.enabled:
@@ -271,25 +306,6 @@ def _checked_rows(x, lo: np.ndarray, what: str) -> np.ndarray:
     if rows != lo.shape[0]:
         raise ValueError(f"{what} have {rows} rows; the normalization stats have {lo.shape[0]}")
     return x
-
-
-def _affine_forward(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    lo = lo[:, None]
-    hi = hi[:, None]
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    out = 2.0 * (x - lo) / safe - 1.0
-    return np.where(span > 0, out, 0.0)
-
-
-def _affine_backward(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    lo = lo[:, None]
-    hi = hi[:, None]
-    span = hi - lo
-    out = (x + 1.0) * span / 2.0 + lo
-    return np.where(span > 0, out, lo)
 
 
 def fit_normalization(ds: TimeSeriesDataset, enabled: bool = True) -> NormalizationStats:

@@ -19,3 +19,8 @@ class ModelFormatError(ValueError):
 
 class UndefinedMetricError(ValueError):
     """A metric is undefined for the given data (e.g. zero-variance target)."""
+
+
+class InputRangeError(ValueError):
+    """An input is non-finite, or so far outside the training range that its
+    normalized value overflows."""

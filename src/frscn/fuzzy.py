@@ -9,7 +9,7 @@ memberships cannot underflow to an all-zero rule vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +41,16 @@ class FcmConfig:
 
 @dataclass(frozen=True)
 class FuzzyRuleBank:
-    """Q Gaussian rules: centers and strictly positive widths, both Q x K."""
+    """Q Gaussian rules: centers and strictly positive widths, both Q x K.
+
+    _centers and _widths are the same arrays as Q x K x 1, broadcast once
+    against K x n inputs.
+    """
 
     centers: np.ndarray
     widths: np.ndarray
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -57,6 +63,8 @@ class FuzzyRuleBank:
             raise ValueError("need at least one rule")
         if not (widths > 0).all():
             raise ValueError("all widths must be strictly positive")
+        object.__setattr__(self, "_centers", centers[:, :, None])
+        object.__setattr__(self, "_widths", widths[:, :, None])
 
     @property
     def n_rules(self) -> int:
@@ -65,6 +73,28 @@ class FuzzyRuleBank:
     @property
     def n_inputs(self) -> int:
         return self.centers.shape[1]
+
+    def strengths(self, pts: np.ndarray) -> np.ndarray:
+        """fire_strength_matrix of a K x n float array, without conversion."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (pts - self._centers) / self._widths
+            # Both sums run strictly left to right (last partial sum of accumulate):
+            # ndarray.sum adds a contiguous run of 8 or more terms pairwise, so a
+            # K x 1 input would round differently from one column of a K x n input.
+            log_psi = -np.add.accumulate(z**2, axis=1)[:, -1]
+            top = log_psi.max(axis=0)
+            # one column (a session step) needs no reduction; fmin skips the NaN
+            # of a NaN input
+            if (top[0] if top.shape[0] == 1 else np.fmin.reduce(top)) == -np.inf:
+                # rank the distances with z scaled into [-1, 1]; inf / inf counts as 1
+                far = top == -np.inf
+                a = np.abs(z[:, :, far])
+                a = np.fmin(a / a.max(axis=(0, 1)), 1.0)
+                d = np.add.accumulate(a**2, axis=1)[:, -1]
+                log_psi[:, far] = np.where(d == d.min(axis=0), 0.0, -np.inf)
+                top[far] = 0.0
+        stable = np.exp(log_psi - top)
+        return stable / np.add.accumulate(stable, axis=0)[-1]
 
 
 def _memberships(points: np.ndarray, centers: np.ndarray, m: float) -> np.ndarray:
@@ -159,7 +189,7 @@ def fit_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig | None = None) -> FuzzyRu
 def fire_strengths(bank: FuzzyRuleBank, u: np.ndarray) -> np.ndarray:
     """Normalized fire strengths for one input vector: the one column of
     fire_strength_matrix on it."""
-    return fire_strength_matrix(bank, np.asarray(u, dtype=float).reshape(-1, 1))[:, 0]
+    return bank.strengths(np.asarray(u, dtype=float).reshape(-1, 1))[:, 0]
 
 
 def fire_strength_matrix(bank: FuzzyRuleBank, inputs: np.ndarray) -> np.ndarray:
@@ -170,21 +200,4 @@ def fire_strength_matrix(bank: FuzzyRuleBank, inputs: np.ndarray) -> np.ndarray:
     yield a finite column that sums to 1. Where every rule's squared distance
     overflows, the nearest rules share the column equally.
     """
-    pts = np.atleast_2d(np.asarray(inputs, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = (pts[None, :, :] - bank.centers[:, :, None]) / bank.widths[:, :, None]
-        # Both sums run strictly left to right (last partial sum of accumulate):
-        # ndarray.sum adds a contiguous run of 8 or more terms pairwise, so a
-        # K x 1 input would round differently from one column of a K x n input.
-        log_psi = -np.add.accumulate(z**2, axis=1)[:, -1]
-        top = log_psi.max(axis=0)
-        if np.fmin.reduce(top) == -np.inf:  # fmin skips the NaN of a NaN input
-            # rank the distances with z scaled into [-1, 1]; inf / inf counts as 1
-            far = top == -np.inf
-            a = np.abs(z[:, :, far])
-            a = np.fmin(a / a.max(axis=(0, 1)), 1.0)
-            d = np.add.accumulate(a**2, axis=1)[:, -1]
-            log_psi[:, far] = np.where(d == d.min(axis=0), 0.0, -np.inf)
-            top[far] = 0.0
-    stable = np.exp(log_psi - top)
-    return stable / np.add.accumulate(stable, axis=0)[-1]
+    return bank.strengths(np.atleast_2d(np.asarray(inputs, dtype=float)))

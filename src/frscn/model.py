@@ -14,9 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import NormalizationStats, TimeSeriesDataset, fit_normalization
-from .errors import ModelFormatError
-from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm
-from .reservoir import ACTIVATIONS, SubReservoir, run_recurrence
+from .errors import InputRangeError, ModelFormatError
+# fire_strengths is not called here; the benchmark's tracer (perfbench/spans.py)
+# wraps it in this module by name.
+from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm  # noqa: F401
+from .reservoir import ACTIVATIONS, SubReservoir, recurrence_step, run_recurrence
 from .trainer import ScConfig, fit_readout, train_sub_reservoir
 
 MODEL_FORMAT_VERSION = "frscn-1"
@@ -126,19 +128,34 @@ class PredictionSession:
     """Stateful step-by-step prediction; states reset at session start.
 
     Within one session the sub-reservoir states carry across consecutive
-    steps. Sessions are single-owner: do not share across threads.
+    steps. Sessions are single-owner: do not share across threads. Each step
+    advances the states in place inside one rule-stacked design buffer
+    [x^i; u] (Q x (N+K) x 1), which the readout reads whole.
     """
 
     def __init__(self, model: FrscnModel):
         self.model = model
-        self.states = np.zeros(model.b.shape)
+        q, n, k = model.w_in.shape
+        norm = model.normalization
+        self._input_map = norm.input_map if norm.enabled else None
+        self._target_map = norm.target_map if norm.enabled else None
+        self._g = ACTIVATIONS[model.activation]
+        self._b = model.b[..., None]
+        self._design = np.zeros((q, n + k, 1))
+        self._x, self._u_rows = self._design[:, :n], self._design[:, n:]
+        self._pre = np.empty((q, n, 1))
+        self._feedback = np.empty((q, n, 1))
 
     def _advance(self, u_raw: np.ndarray):
-        """Normalize one raw input, advance the states; return (u K x 1, phi)."""
+        """Normalize one raw input, advance the states; return (u K x 1, phi Q x 1)."""
         m = self.model
-        u = m.normalization.apply_inputs(_raw_inputs(m, np.asarray(u_raw, dtype=float).reshape(-1, 1)))
-        phi = fire_strengths(m.rule_bank, u[:, 0])
-        self.states = run_recurrence(m.w_in, m.w_r, m.b, m.activation, u, self.states)[..., 0]
+        u = _raw_inputs(m, np.asarray(u_raw, dtype=float).reshape(-1, 1))
+        if self._input_map is not None:
+            u = self._input_map.forward(u)
+        phi = m.rule_bank.strengths(u)
+        np.add(np.matmul(m.w_in, u, out=self._pre), self._b, out=self._pre)
+        recurrence_step(m.w_r, self._g, self._x, self._pre, self._feedback, self._x)
+        self._u_rows[...] = u
         return u, phi
 
     def features(self, u_raw: np.ndarray):
@@ -148,13 +165,13 @@ class PredictionSession:
         so callers always pass raw-scale inputs.
         """
         u, phi = self._advance(u_raw)
-        return phi, _rule_blocks(self.model, self.states, u[:, 0])
+        return phi[:, 0], _rule_blocks(self.model, self._x[..., 0], u[:, 0])
 
     def step(self, u_raw: np.ndarray) -> np.ndarray:
         """One-step prediction in raw target scale."""
-        u, phi = self._advance(u_raw)
-        y = _blend(self.model, self.states[..., None], u, phi[:, None])
-        return self.model.normalization.invert_targets(y)[:, 0]
+        _, phi = self._advance(u_raw)
+        y = _blend(self.model, self._design, phi)
+        return (y if self._target_map is None else self._target_map.backward(y))[:, 0]
 
 
 # Time steps per rollout chunk in predict: bounds the states held at once.
@@ -167,12 +184,15 @@ def predict(model: FrscnModel, inputs: np.ndarray) -> np.ndarray:
     Per sample: y(n) = sum_i phi_i(n) W_out^i [x^i(n); u(n)], with every
     sub-reservoir rolled forward from zero state at the sequence start. The
     sequence is processed in chunks of PREDICT_CHUNK steps, the states
-    carried from one chunk to the next.
+    carried from one chunk to the next. InputRangeError names the first
+    sample whose normalized input is not finite.
     """
     u_raw = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.empty((model.n_outputs, u_raw.shape[1]))
-    for chunk, u, phi, states in _chunks(model, u_raw):
-        y[:, chunk] = model.normalization.invert_targets(_blend(model, states, u, phi))
+    for chunk, u, phi, states in _chunks(model, u_raw, finite=True):
+        design = np.concatenate([states, np.broadcast_to(u, (model.n_rules,) + u.shape)], axis=1)
+        y[:, chunk] = model.normalization.invert_targets(_blend(model, design, phi))
+        del design  # not held through the next chunk's rollout: it would raise peak memory
     return y
 
 
@@ -186,15 +206,22 @@ def feature_chunks(model: FrscnModel, inputs: np.ndarray):
         yield chunk, phi, _rule_blocks(model, states, u)
 
 
-def _chunks(model: FrscnModel, inputs: np.ndarray):
+def _chunks(model: FrscnModel, inputs: np.ndarray, finite: bool = False):
     """Yield (slice, normalized inputs K x n, fire strengths Q x n, rule-stacked
     states Q x N x n) per PREDICT_CHUNK steps of raw inputs K x T, the states
-    carried from one chunk to the next."""
+    carried from one chunk to the next. Non-finite normalized inputs pass
+    through unless finite is set; then they raise InputRangeError."""
     u_raw = _raw_inputs(model, inputs)
     x = None
     for start in range(0, u_raw.shape[1], PREDICT_CHUNK):
         chunk = slice(start, start + PREDICT_CHUNK)
         u = model.normalization.apply_inputs(u_raw[:, chunk])
+        if finite:
+            bad = ~np.isfinite(u).all(axis=0)
+            if bad.any():
+                raise InputRangeError(
+                    f"input sample {start + int(bad.argmax()) + 1} is not finite after "
+                    "normalization: it is non-finite or far outside the training range")
         states = run_recurrence(model.w_in, model.w_r, model.b, model.activation, u, x)
         x = states[..., -1]
         yield chunk, u, fire_strength_matrix(model.rule_bank, u), states
@@ -214,10 +241,9 @@ def _rule_blocks(model: FrscnModel, states: np.ndarray, u: np.ndarray) -> list:
     return [np.concatenate([x[: res.n_nodes], u]) for x, res in zip(states, model.sub_reservoirs)]
 
 
-def _blend(model: FrscnModel, states: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Normalized outputs L x n, sum_i phi_i(n) W_out^i [x^i(n); u(n)], from
-    rule-stacked states Q x N x n, inputs K x n and fire strengths Q x n."""
-    design = np.concatenate([states, np.broadcast_to(u, (model.n_rules,) + u.shape)], axis=1)
+def _blend(model: FrscnModel, design: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Normalized outputs L x n, sum_i phi_i(n) W_out^i [x^i(n); u(n)], from the
+    rule-stacked design [x^i; u] (Q x (N+K) x n) and fire strengths Q x n."""
     return (phi[:, None, :] * (model.w_out @ design)).sum(axis=0)
 
 

@@ -67,17 +67,32 @@ def run_recurrence(w_in, w_r, b, activation: str, inputs, x0=None) -> np.ndarray
     Either one reservoir (w_in N x K, w_r N x N, b N; states N x n) or Q of
     them stacked on a leading rule axis (Q x N x K, Q x N x N, Q x N; states
     Q x N x n), advanced together by broadcasting matmul. x0 has the shape of
-    b and defaults to zeros.
+    b and defaults to zeros. Each step's states overwrite its column of the
+    pre-activations.
     """
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
     g = ACTIVATIONS[activation]
-    pre = w_in @ u + b[..., None]
-    states = np.empty(pre.shape)
-    x = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).reshape(b.shape)
+    states = w_in @ u
+    states += b[..., None]
+    shape = b.shape + (1,)
+    # the states are stepped in one contiguous buffer: a column of states is
+    # strided, and elementwise work on it costs twice as much
+    x = np.zeros(shape) if x0 is None else np.array(x0, dtype=float).reshape(shape)
+    feedback = np.empty(shape)
     for t in range(u.shape[1]):
-        x = g(pre[..., t] + (w_r @ x[..., None])[..., 0])
-        states[..., t] = x
+        column = states[..., t : t + 1]
+        column[...] = recurrence_step(w_r, g, x, column, feedback, x)
     return states
+
+
+def recurrence_step(w_r, g, x, pre, feedback, out) -> np.ndarray:
+    """One step of run_recurrence: out = g(pre + W_r x), all N x 1 (or Q x N x 1).
+
+    feedback is scratch for W_r x, written before out, so out may be pre or x.
+    """
+    np.matmul(w_r, x, out=feedback)
+    np.add(pre, feedback, out=out)
+    return g(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,31 @@ class TestOnlineCommand:
         assert f"sample {first} " in capsys.readouterr().err
 
 
+class TestFarOutInput:
+    @pytest.mark.filterwarnings("error")
+    def test_predict_and_eval_exit_1_naming_the_sample(self, data_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--seed", "2",
+                    "--out-model", str(model_path),
+                    "--out-report", str(tmp_path / "rep.json"), *FAST]) == 0
+        # planted fixture: one finite input far outside the training range
+        lines = (data_dir / "val.csv").read_text().strip().splitlines()
+        y, _, target = lines[1 + 100].split(",")
+        lines[1 + 100] = f"{y},1e308,{target}"
+        planted = tmp_path / "planted.csv"
+        planted.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", str(model_path), "--data", str(planted),
+                    "--out", str(out), "--washout", "40"]) == 1
+        assert not out.exists()
+        assert run(["eval", "--model", str(model_path), "--data", str(planted),
+                    "--washout", "40", "--report-dir", str(tmp_path / "report")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: input sample 101 is not finite after normalization") == 2
+
+
 class TestPredictUnlabeled:
     def test_predict_without_target_column(self, data_dir, tmp_path):
         model_path = tmp_path / "m.json"

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frscn import (
     CsvParseError,
+    NormalizationStats,
     SchemaError,
     TimeSeriesDataset,
     add_gaussian_noise,
@@ -232,6 +236,35 @@ class TestNormalization:
         back_t = stats.invert_targets(stats.apply_targets(targets))
         assert np.abs((back_in - inputs) / np.maximum(np.abs(inputs), 1e-30)).max() < 1e-12
         assert np.abs((back_t - targets) / np.maximum(np.abs(targets), 1e-30)).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), l_dims=st.integers(1, 4), n=st.integers(1, 20))
+    def test_round_trip_with_constant_dimensions(self, data, k, l_dims, n):
+        def bounds(dims):
+            lo = data.draw(arrays(float, dims, elements=st.floats(-1e6, 1e6)))
+            # a zero span is a constant dimension
+            span = data.draw(arrays(float, dims, elements=st.one_of(
+                st.just(0.0), st.floats(1e-3, 1e6))))
+            return lo, lo + span
+
+        in_lo, in_hi = bounds(k)
+        t_lo, t_hi = bounds(l_dims)
+        stats = NormalizationStats(in_lo, in_hi, t_lo, t_hi)
+        for apply, invert, lo, hi in (
+            (stats.apply_inputs, stats.invert_inputs, in_lo, in_hi),
+            (stats.apply_targets, stats.invert_targets, t_lo, t_hi),
+        ):
+            # samples up to ten spans beyond either end of the range
+            frac = data.draw(arrays(float, (lo.size, n), elements=st.floats(-10, 11)))
+            x = lo[:, None] + frac * (hi - lo)[:, None]
+            forward = apply(x)
+            back = invert(forward)
+            const = hi == lo
+            scale = np.maximum(np.abs(x), np.maximum(np.abs(lo), np.abs(hi))[:, None])
+            assert np.all(np.abs(back - x)[~const] <= 1e-12 * scale[~const])
+            assert np.all(forward[const] == 0.0)
+            assert np.all(back[const] == np.broadcast_to(lo[:, None], x.shape)[const])
+            assert np.all(invert(np.ones_like(x))[const] == np.broadcast_to(lo[:, None], x.shape)[const])
 
     def test_disabled_stats_are_identity(self):
         ds = generate_plant_sequence(50, seed=0, washout=0)

@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frscn import (
     EsnConfig,
     FrscnModel,
     FuzzyRuleBank,
+    InputRangeError,
     ModelFormatError,
     NormalizationStats,
     ScConfig,
@@ -22,7 +26,7 @@ from frscn import (
     train_fesn,
     train_frscn,
 )
-from frscn.model import PREDICT_CHUNK, train_model
+from frscn.model import PREDICT_CHUNK, feature_chunks, train_model
 
 
 def identity_stats(k, l_dims):
@@ -183,6 +187,63 @@ class TestRuleStackedServing:
                 sub_reservoirs=(tanh_model.sub_reservoirs[0], sigmoid_model.sub_reservoirs[1]),
                 normalization=tanh_model.normalization,
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [1e308, -1e308, np.inf, np.nan])
+    def test_predict_names_the_first_sample_out_of_range(self, bad):
+        rng = np.random.default_rng(15)
+        model = ragged_model(rng, (3, 7, 4))
+        inputs = rng.uniform(-3, 2, (2, PREDICT_CHUNK + 40))
+        inputs[1, PREDICT_CHUNK + 2] = bad
+        inputs[0, PREDICT_CHUNK + 30] = bad
+        with pytest.raises(InputRangeError, match=f"input sample {PREDICT_CHUNK + 3} "):
+            predict(model, inputs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        activation=st.sampled_from(["tanh", "sigmoid"]),
+        k=st.integers(1, 3),
+        l_dims=st.integers(1, 2),
+        normalize=st.booleans(),
+        constant=st.booleans(),
+        n_steps=st.integers(PREDICT_CHUNK - 3, PREDICT_CHUNK + 30),
+        far=st.lists(st.tuples(st.integers(0, PREDICT_CHUNK + 30), st.floats(-1e200, 1e200)),
+                     max_size=3),
+    )
+    def test_session_is_the_batch_path(self, seed, sizes, activation, k, l_dims, normalize,
+                                       constant, n_steps, far):
+        rng = np.random.default_rng(seed)
+        model = ragged_model(rng, sizes, activation, k=k, l_dims=l_dims)
+        lo_in, lo_t = rng.uniform(-3, 0, k), rng.uniform(-3, 0, l_dims)
+        hi_in, hi_t = lo_in + rng.uniform(0.5, 5, k), lo_t + rng.uniform(0.5, 5, l_dims)
+        if constant:
+            hi_in[0], hi_t[-1] = lo_in[0], lo_t[-1]
+        model = replace(model, normalization=NormalizationStats(
+            lo_in, hi_in, lo_t, hi_t, enabled=normalize))
+        inputs = rng.uniform(-4, 3, (k, n_steps))
+        if not normalize:
+            # far inputs, up to 1e200, are in range only without normalization
+            for n, value in far:
+                inputs[n % k, n % n_steps] = value
+
+        with np.errstate(over="ignore"):  # sigmoid's exp(-x) overflows to a 0 state
+            batch = predict(model, inputs)
+            chunks = list(feature_chunks(model, inputs))
+            session, features = model.session(), model.session()
+            steps = np.column_stack([session.step(inputs[:, n]) for n in range(n_steps)])
+            feats = [features.features(inputs[:, n]) for n in range(n_steps)]
+        # outputs and blocks are linear in u(n): compare at the scale of the input
+        scale = 1.0 + np.abs(inputs).max(axis=0)
+        assert np.isfinite(steps).all() and np.isfinite(batch).all()
+        assert np.all(np.abs(steps - batch) <= 1e-12 * scale)
+        for chunk, phi, blocks in chunks:
+            for j, n in enumerate(range(chunk.start, chunk.start + phi.shape[1])):
+                phi_n, blocks_n = feats[n]
+                assert np.all(np.abs(phi_n - phi[:, j]) <= 1e-12)
+                for got, want in zip(blocks_n, blocks):
+                    assert np.all(np.abs(got - want[:, j]) <= 1e-12 * scale[n])
 
     def test_stacked_weights_are_read_only(self):
         model = ragged_model(np.random.default_rng(14), (2, 3))
