@@ -11,7 +11,7 @@ them one to one.
 from __future__ import annotations
 
 import argparse
-import csv
+import inspect
 import json
 import sys
 from dataclasses import fields
@@ -23,7 +23,7 @@ from . import dataset as ds_mod
 from . import evaluation as ev
 from . import online as ol
 from .fuzzy import FcmConfig
-from .model import EsnConfig, load_model, predict, save_model, train_model
+from .model import MODEL_KINDS, EsnConfig, load_model, predict, save_model, train_frscn, train_model
 from .trainer import ScConfig
 
 
@@ -46,13 +46,15 @@ def _bool(text):
 
 _SC, _FCM, _ESN, _ONLINE = ({f.name: f.default for f in fields(cls)}
                              for cls in (ScConfig, FcmConfig, EsnConfig, ol.OnlineState))
+_TRAIN, _GRID = ({name: p.default for name, p in inspect.signature(fn).parameters.items()}
+                 for fn in (train_frscn, ev.grid_search))
 
 # One row per configurable key: dotted name, parser, default, help.
 CONFIG_SPEC = [
-    ("q", int, 5, "number of fuzzy rules"),
-    ("seed", int, 0, "master random seed"),
+    ("q", int, _TRAIN["q"], "number of fuzzy rules"),
+    ("seed", int, _TRAIN["seed"], "master random seed"),
     ("washout", int, 100, "leading samples excluded from fits and metrics"),
-    ("normalize", _bool, True, "map inputs/targets onto [-1,1] from training stats"),
+    ("normalize", _bool, _TRAIN["normalize"], "map inputs/targets onto [-1,1] from training stats"),
     ("sc.n_max", int, _SC["n_max"], "maximum sub-reservoir size"),
     ("sc.g_max", int, _SC["g_max"], "candidate draws per weight scale"),
     ("sc.epsilon", float, _SC["epsilon"], "residual F-norm tolerance"),
@@ -138,23 +140,13 @@ def _sub(cfg: dict, prefix: str) -> dict:
     return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
 
 
-def build_configs(cfg: dict):
+def train_options(cfg: dict) -> dict:
+    """The config's training options as keywords of train_model and grid_search."""
     try:
-        sc = ScConfig(seed=cfg["seed"], **_sub(cfg, "sc"))
-        fcm = FcmConfig(seed=cfg["seed"], **_sub(cfg, "fcm"))
-        esn = EsnConfig(**_sub(cfg, "esn"))
+        return dict(sc_cfg=ScConfig(**_sub(cfg, "sc")), fcm_cfg=FcmConfig(**_sub(cfg, "fcm")),
+                    esn_cfg=EsnConfig(**_sub(cfg, "esn")), normalize=cfg["normalize"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return sc, fcm, esn
-
-
-def _write_series_csv(path, header: list, columns: list):
-    """A header row, then one row per position of the columns, which hold
-    Python ints and floats (e.g. from ndarray.tolist()); floats are written at
-    full precision by repr, with the csv module's CRLF line ends."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -177,7 +169,7 @@ def cmd_gen_data(args, cfg) -> int:
                                             washout=min(washout, size - 1))
         splits[name] = ds
         modes[name] = mode
-        _write_series_csv(
+        ds_mod.write_series_csv(
             out / f"{name}.csv",
             ["y", "u", "y_next"],
             [ds.inputs[0].tolist(), ds.inputs[1].tolist(), ds.targets[0].tolist()],
@@ -209,11 +201,10 @@ def _load_data(path, cfg, args):
 
 
 def cmd_train(args, cfg) -> int:
-    sc, fcm, esn = build_configs(cfg)
+    options = train_options(cfg)
     train = _load_data(args.data, cfg, args)
     kind = args.model_kind
-    model, reports = train_model(train, kind, q=cfg["q"], sc_cfg=sc, fcm_cfg=fcm, esn_cfg=esn,
-                                 seed=cfg["seed"], normalize=cfg["normalize"])
+    model, reports = train_model(train, kind, q=cfg["q"], seed=cfg["seed"], **options)
     save_model(model, args.out_model)
     report_doc = {
         "model_kind": kind,
@@ -237,7 +228,7 @@ def cmd_predict(args, cfg) -> int:
     data = _load_data(args.data, cfg, args)
     pred = predict(model, data.inputs)
     header = ["n"] + [f"prediction_{q + 1}" for q in range(pred.shape[0])]
-    _write_series_csv(args.out, header, [range(1, pred.shape[1] + 1)] + pred.tolist())
+    ds_mod.write_series_csv(args.out, header, [range(1, pred.shape[1] + 1)] + pred.tolist())
     print(f"wrote {args.out} ({pred.shape[1]} rows)")
     return 0
 
@@ -265,7 +256,7 @@ def cmd_online(args, cfg) -> int:
     updated, trace = ol.run_online(model, state, data)
     save_model(updated, args.out_model)
     header = ["step"] + [f"e_s_{q + 1}" for q in range(trace.shape[0])]
-    _write_series_csv(args.out_trace, header, [range(1, trace.shape[1] + 1)] + trace.tolist())
+    ds_mod.write_series_csv(args.out_trace, header, [range(1, trace.shape[1] + 1)] + trace.tolist())
     moved = float(np.linalg.norm(st_theta0 - state.theta))
     print(f"online pass over {trace.shape[1]} samples, {state.skipped} skipped as non-finite; "
           f"readout moved {moved:.6g}; smallest diag(H) {np.diagonal(state.h).min():.6g}")
@@ -274,7 +265,7 @@ def cmd_online(args, cfg) -> int:
 
 
 def cmd_gridsearch(args, cfg) -> int:
-    sc, fcm, esn = build_configs(cfg)
+    options = train_options(cfg)
     train = _load_data(args.train, cfg, args)
     val = _load_data(args.val, cfg, args)
     test = _load_data(args.test or args.val, cfg, args)
@@ -282,9 +273,8 @@ def cmd_gridsearch(args, cfg) -> int:
     n_values = [int(v) for v in str(args.n_list).split(",")]
     result = ev.grid_search(
         train, val, test, q_values=q_values, n_values=n_values,
-        model_kind=args.model_kind, sc_cfg=sc, fcm_cfg=fcm, esn_cfg=esn,
-        trials_per_cell=args.trials, base_seed=cfg["seed"],
-        normalize=cfg["normalize"],
+        model_kind=args.model_kind, trials_per_cell=args.trials, base_seed=cfg["seed"],
+        **options,
     )
     ev.emit_report(args.out, grid=result)
     print(f"grid search over q={q_values} n={n_values}: "
@@ -318,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--data", required=True, help="training CSV")
-    p.add_argument("--model-kind", default="frscn", choices=["frscn", "rscn", "fesn", "esn"],
+    p.add_argument("--model-kind", default="frscn", choices=MODEL_KINDS,
                    help="rscn/esn are the q=1 aliases of frscn/fesn")
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out-report", default="train_report.json")
@@ -354,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--test", default=None, help="optional; defaults to the validation CSV")
-    p.add_argument("--model-kind", default="frscn", choices=["frscn", "rscn", "fesn", "esn"])
-    p.add_argument("--q-list", default="1,3,5,10,15")
-    p.add_argument("--n-list", default="25,50,75,100")
-    p.add_argument("--trials", type=int, default=3, help="trials per grid cell")
+    p.add_argument("--model-kind", default="frscn", choices=MODEL_KINDS)
+    p.add_argument("--q-list", default=",".join(map(str, _GRID["q_values"])))
+    p.add_argument("--n-list", default=",".join(map(str, _GRID["n_values"])))
+    p.add_argument("--trials", type=int, default=_GRID["trials_per_cell"],
+                   help="trials per grid cell")
     p.add_argument("--out", default="gridsearch", help="output directory")
     add_common(p)
     p.set_defaults(func=cmd_gridsearch)

@@ -215,6 +215,15 @@ def load_csv(
     )
 
 
+def write_series_csv(path, header: list, columns: list):
+    """A header row, then one row per position of the columns, which hold
+    Python ints and floats (e.g. from ndarray.tolist()); floats are written at
+    full precision by repr, with the csv module's CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
+
+
 class AffineMap:
     """Per-dimension affine map of rows onto [-1, 1], from each row's [lo, hi].
 

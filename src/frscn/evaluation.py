@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -10,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import TimeSeriesDataset
+from .dataset import TimeSeriesDataset, write_series_csv
 from .errors import UndefinedMetricError
-from .fuzzy import FcmConfig, fire_strength_matrix
+from .fuzzy import fire_strength_matrix
 from .model import EsnConfig, FrscnModel, predict, train_model
 from .trainer import ScConfig
 
@@ -100,21 +99,17 @@ def run_single_trial(
     val: TimeSeriesDataset,
     test: TimeSeriesDataset,
     model_kind: str = "frscn",
-    q: int = 5,
-    sc_cfg: ScConfig | None = None,
-    fcm_cfg: FcmConfig | None = None,
-    esn_cfg: EsnConfig | None = None,
     seed: int = 0,
-    normalize: bool = True,
+    **train_kw,
 ):
     """Train one model and score it on all three splits.
 
-    Returns (model, reports, TrialResult). model_kind "rscn" and "esn" are
-    the q == 1 aliases of "frscn" and "fesn".
+    Returns (model, reports, TrialResult). train_kw goes to train_model,
+    where model_kind "rscn" and "esn" are the q == 1 aliases of "frscn" and
+    "fesn".
     """
     started = time.perf_counter()
-    model, reports = train_model(train, model_kind.lower(), q=q, sc_cfg=sc_cfg, fcm_cfg=fcm_cfg,
-                                 esn_cfg=esn_cfg, seed=seed, normalize=normalize)
+    model, reports = train_model(train, model_kind.lower(), seed=seed, **train_kw)
     elapsed = time.perf_counter() - started
 
     def score(ds):
@@ -136,19 +131,16 @@ def run_trials(
     val: TimeSeriesDataset,
     test: TimeSeriesDataset,
     model_kind: str = "frscn",
-    q: int = 5,
-    sc_cfg: ScConfig | None = None,
-    fcm_cfg: FcmConfig | None = None,
-    esn_cfg: EsnConfig | None = None,
     n_trials: int = 10,
     base_seed: int = 0,
-    normalize: bool = True,
     keep_reports: bool = False,
+    **train_kw,
 ):
     """Seeded repetition: trial k runs at seed base_seed + k on fixed data.
 
-    Failures are recorded per trial and excluded from the summary. Returns
-    (results, summary) or (results, summary, reports_per_trial).
+    train_kw goes to train_model through run_single_trial. Failures are
+    recorded per trial and excluded from the summary. Returns (results,
+    summary) or (results, summary, reports_per_trial).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -156,10 +148,8 @@ def run_trials(
     results, reports = [], []
     for k in range(n_trials):
         try:
-            _, reps, result = run_single_trial(
-                train, val, test, model_kind, q, sc_cfg, fcm_cfg, esn_cfg,
-                seed=base_seed + k, normalize=normalize,
-            )
+            _, reps, result = run_single_trial(train, val, test, model_kind,
+                                               seed=base_seed + k, **train_kw)
         except ValueError as exc:  # recorded, not raised: summary needs the rest
             reps, result = [], TrialResult(
                 seed=base_seed + k,
@@ -202,13 +192,15 @@ def grid_search(
     n_values=(25, 50, 75, 100),
     model_kind: str = "frscn",
     sc_cfg: ScConfig | None = None,
-    fcm_cfg: FcmConfig | None = None,
     esn_cfg: EsnConfig | None = None,
     trials_per_cell: int = 3,
     base_seed: int = 0,
-    normalize: bool = True,
+    **train_kw,
 ) -> GridSearchResult:
     """Mean validation NRMSE over a (Q, N) grid; pick the minimizing cell.
+
+    Each cell sets q and the reservoir size, sc_cfg.n_max or esn_cfg.n_nodes;
+    train_kw (fcm_cfg, normalize) goes to train_model through run_trials.
 
     Ties break toward the smaller reservoir size, then the smaller rule
     count. Cells whose trials all fail are marked NaN and never selected.
@@ -226,9 +218,8 @@ def grid_search(
             _, summary = run_trials(
                 train, val, test, model_kind, q=qi,
                 sc_cfg=replace(sc_cfg, n_max=ni),
-                fcm_cfg=fcm_cfg,
                 esn_cfg=replace(esn_cfg, n_nodes=ni),
-                n_trials=trials_per_cell, base_seed=base_seed, normalize=normalize,
+                n_trials=trials_per_cell, base_seed=base_seed, **train_kw,
             )
             surface[iq, jn] = summary.mean_val if summary.n_ok else np.nan
 
@@ -278,41 +269,35 @@ def emit_report(
     if model is not None and dataset is not None:
         pred = predict(model, dataset.inputs)
         w = dataset.washout
+        l_dims = dataset.n_outputs
         path = out / "predictions.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            l_dims = dataset.n_outputs
-            writer.writerow(
-                ["n"]
-                + [f"target_{q + 1}" for q in range(l_dims)]
-                + [f"prediction_{q + 1}" for q in range(l_dims)]
-            )
-            for n in range(w, dataset.n_samples):
-                writer.writerow(
-                    [n + 1]
-                    + [repr(float(v)) for v in dataset.targets[:, n]]
-                    + [repr(float(v)) for v in pred[:, n]]
-                )
+        write_series_csv(
+            path,
+            ["n"]
+            + [f"target_{q + 1}" for q in range(l_dims)]
+            + [f"prediction_{q + 1}" for q in range(l_dims)],
+            [range(w + 1, dataset.n_samples + 1)]
+            + dataset.targets[:, w:].tolist()
+            + pred[:, w:].tolist(),
+        )
         written.append(path)
 
         u = model.normalization.apply_inputs(dataset.inputs)
         phi = fire_strength_matrix(model.rule_bank, u)
+        stride = max(1, fire_strength_stride)
         path = out / "fire_strengths.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n"] + [f"phi_{i + 1}" for i in range(model.n_rules)])
-            for n in range(w, dataset.n_samples, max(1, fire_strength_stride)):
-                writer.writerow([n + 1] + [repr(float(v)) for v in phi[:, n]])
+        write_series_csv(
+            path,
+            ["n"] + [f"phi_{i + 1}" for i in range(model.n_rules)],
+            [range(w + 1, dataset.n_samples + 1, stride)] + phi[:, w::stride].tolist(),
+        )
         written.append(path)
 
     if grid is not None:
         path = out / "grid.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["q", "n", "mean_val_nrmse"])
-            for iq, qv in enumerate(grid.q_values):
-                for jn, nv in enumerate(grid.n_values):
-                    writer.writerow([qv, nv, repr(float(grid.mean_val_nrmse[iq, jn]))])
+        cells = [(int(qv), int(nv)) for qv in grid.q_values for nv in grid.n_values]
+        write_series_csv(path, ["q", "n", "mean_val_nrmse"],
+                         [*zip(*cells), grid.mean_val_nrmse.ravel().tolist()])
         written.append(path)
     return written
 

@@ -28,7 +28,6 @@ class FcmConfig:
     m: float = 2.0
     max_iter: int = 300
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if not self.m > 1:
@@ -124,12 +123,12 @@ def fcm_objective(points: np.ndarray, centers: np.ndarray, mu: np.ndarray, m: fl
     return float(((mu**m) * d2).sum())
 
 
-def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig):
+def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig, seed: int = 0):
     """Low-level FCM: returns (centers, memberships, objective trace).
 
     Alternates the membership and center updates until the largest center
     displacement drops below cfg.tol or the iteration cap is hit. Centers are
-    initialized from q distinct random training points under cfg.seed.
+    initialized from q distinct random training points under seed.
     """
     points = np.atleast_2d(np.asarray(inputs, dtype=float))  # K x n
     n = points.shape[1]
@@ -143,7 +142,7 @@ def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig):
             f"only {distinct.shape[1]} distinct input points; cannot form {q} clusters"
         )
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     # seed centers from q distinct sample points
     order = rng.permutation(distinct.shape[1])[:q]
     centers = distinct[:, order].T.copy()  # q x K
@@ -166,11 +165,13 @@ def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig):
     return centers, mu, trace
 
 
-def fit_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig | None = None) -> FuzzyRuleBank:
-    """Cluster training inputs into q fuzzy rules with data-driven widths."""
+def fit_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig | None = None,
+            seed: int = 0) -> FuzzyRuleBank:
+    """Cluster training inputs into q fuzzy rules with data-driven widths;
+    the initial centers are drawn under seed."""
     cfg = cfg or FcmConfig()
     points = np.atleast_2d(np.asarray(inputs, dtype=float))
-    centers, mu, _ = run_fcm(points, q, cfg)
+    centers, mu, _ = run_fcm(points, q, cfg, seed)
 
     dim_range = points.max(axis=1) - points.min(axis=1)
     floor = np.where(dim_range > 0, WIDTH_RANGE_FLOOR * dim_range, WIDTH_ABS_FLOOR)

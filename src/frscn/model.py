@@ -147,11 +147,18 @@ class PredictionSession:
         self._feedback = np.empty((q, n, 1))
 
     def _advance(self, u_raw: np.ndarray):
-        """Normalize one raw input, advance the states; return (u K x 1, phi Q x 1)."""
+        """Normalize one raw input, advance the states; return (u K x 1, phi Q x 1).
+
+        InputRangeError if the normalized input is not finite; the states are
+        then left as they were.
+        """
         m = self.model
         u = _raw_inputs(m, np.asarray(u_raw, dtype=float).reshape(-1, 1))
         if self._input_map is not None:
             u = self._input_map.forward(u)
+        if not np.isfinite(u).all():
+            raise InputRangeError("input is not finite after normalization: it is non-finite "
+                                  "or far outside the training range")
         phi = m.rule_bank.strengths(u)
         np.add(np.matmul(m.w_in, u, out=self._pre), self._b, out=self._pre)
         recurrence_step(m.w_r, self._g, self._x, self._pre, self._feedback, self._x)
@@ -266,28 +273,62 @@ def stacked_features(phi: np.ndarray, blocks: list) -> np.ndarray:
     return np.concatenate([p * blk for p, blk in zip(phi, blocks)])
 
 
-def _derived_seeds(seed: int, count: int) -> list:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
+# The kinds train_model accepts, and so the CLI's --model-kind choices.
+MODEL_KINDS = ("frscn", "rscn", "fesn", "esn")
 
 
-def train_model(train: TimeSeriesDataset, kind: str = "frscn", q: int = 5,
-                sc_cfg: ScConfig | None = None, fcm_cfg: FcmConfig | None = None,
-                esn_cfg: EsnConfig | None = None, seed: int = 0,
-                normalize: bool = True) -> tuple[FrscnModel, list]:
+def train_model(train: TimeSeriesDataset, kind: str = "frscn", sc_cfg: ScConfig | None = None,
+                esn_cfg: EsnConfig | None = None, **kw) -> tuple[FrscnModel, list]:
     """Train a model of the named kind; returns (model, per-rule growth reports).
 
-    "rscn" and "esn" are the q == 1 aliases of "frscn" and "fesn"; the
-    fixed-size reservoirs of "fesn" and "esn" have no growth reports.
+    kw (q, fcm_cfg, seed, normalize) goes to train_frscn or train_fesn and
+    takes their defaults. "rscn" and "esn" are the q == 1 aliases of "frscn"
+    and "fesn"; the fixed-size reservoirs of "fesn" and "esn" have no growth
+    reports.
     """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     if kind in ("rscn", "esn"):
-        q = 1
+        kw["q"] = 1
     if kind in ("frscn", "rscn"):
-        return train_frscn(train, q=q, sc_cfg=sc_cfg, fcm_cfg=fcm_cfg, seed=seed,
-                           normalize=normalize)
-    if kind in ("fesn", "esn"):
-        return train_fesn(train, q=q, fcm_cfg=fcm_cfg, esn_cfg=esn_cfg, seed=seed,
-                          normalize=normalize), []
-    raise ValueError(f"unknown model kind {kind!r}")
+        return train_frscn(train, sc_cfg=sc_cfg, **kw)
+    return train_fesn(train, esn_cfg=esn_cfg, **kw), []
+
+
+def _train_rules(train: TimeSeriesDataset, kind: str, q: int, fcm_cfg: FcmConfig | None,
+                 seed: int, normalize: bool, cfg_key: str, cfg, train_rule):
+    """The front end and assembly both trainers share; returns (model, reports).
+
+    Checks q, fits and applies the normalization, derives q + 1 seeds from
+    the master seed and fits the FCM rule bank under the first of them. Then
+    train_rule(normalized dataset, seed) -> (sub-reservoir, report) runs once
+    per rule under the rest, and the model records the run's settings, with
+    the reservoir settings cfg under cfg_key.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    fcm_cfg = fcm_cfg or FcmConfig()
+    stats = fit_normalization(train, enabled=normalize)
+    ds = stats.apply(train)
+
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(q + 1)]
+    bank = fit_fcm(ds.inputs[:, ds.washout :], q, fcm_cfg, seeds[0])
+
+    reservoirs, reports = zip(*(train_rule(ds, rule_seed) for rule_seed in seeds[1:]))
+    model = FrscnModel(
+        rule_bank=bank,
+        sub_reservoirs=reservoirs,
+        normalization=stats,
+        metadata={
+            "kind": kind,
+            "q": q,
+            "seed": seed,
+            cfg_key: _cfg_dict(cfg),
+            "fcm_cfg": _cfg_dict(fcm_cfg),
+            "normalize": normalize,
+        },
+    )
+    return model, list(reports)
 
 
 def train_frscn(
@@ -304,36 +345,13 @@ def train_frscn(
     Every sub-reservoir is trained against the full target independently;
     fire strengths enter only when predictions are combined. With q == 1 the
     fuzzy layer is the identity and the result is the plain recurrent
-    stochastic configuration model.
+    stochastic configuration model. seed is the master seed: the FCM
+    initialization and each rule's growth run under seeds derived from it.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     sc_cfg = sc_cfg or ScConfig()
-    fcm_cfg = fcm_cfg or FcmConfig()
-    stats = fit_normalization(train, enabled=normalize)
-    ds = stats.apply(train)
-
-    seeds = _derived_seeds(seed, q + 1)
-    bank = fit_fcm(ds.inputs[:, ds.washout :], q, replace(fcm_cfg, seed=seeds[0]))
-
-    results = [train_sub_reservoir(ds, sc_cfg, seeds[i + 1], accept_hook=accept_hook)
-               for i in range(q)]
-    reservoirs = [res for res, _ in results]
-    reports = [rep for _, rep in results]
-    model = FrscnModel(
-        rule_bank=bank,
-        sub_reservoirs=tuple(reservoirs),
-        normalization=stats,
-        metadata={
-            "kind": "frscn",
-            "q": q,
-            "seed": seed,
-            "sc_cfg": _cfg_dict(sc_cfg),
-            "fcm_cfg": _cfg_dict(fcm_cfg),
-            "normalize": normalize,
-        },
-    )
-    return model, reports
+    return _train_rules(
+        train, "frscn", q, fcm_cfg, seed, normalize, "sc_cfg", sc_cfg,
+        lambda ds, rule_seed: train_sub_reservoir(ds, sc_cfg, rule_seed, accept_hook=accept_hook))
 
 
 def train_fesn(
@@ -349,23 +367,14 @@ def train_fesn(
     Each sub-reservoir's weights are drawn once from a uniform distribution,
     the feedback matrix is sparsified and spectrally rescaled, and only the
     readout is fitted. With q == 1 this is the plain echo-state baseline.
+    Seeds are derived from the master seed as in train_frscn.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    fcm_cfg = fcm_cfg or FcmConfig()
     esn_cfg = esn_cfg or EsnConfig()
-    stats = fit_normalization(train, enabled=normalize)
-    ds = stats.apply(train)
-    k = ds.n_inputs
-
-    seeds = _derived_seeds(seed, q + 1)
-    bank = fit_fcm(ds.inputs[:, ds.washout :], q, replace(fcm_cfg, seed=seeds[0]))
-
     scale = esn_cfg.weight_scale
-    reservoirs = []
-    for i in range(q):
-        rng = np.random.default_rng(seeds[i + 1])
-        n = esn_cfg.n_nodes
+
+    def fixed_reservoir(ds, rule_seed):
+        rng = np.random.default_rng(rule_seed)
+        n, k = esn_cfg.n_nodes, ds.n_inputs
         w_in = rng.uniform(-scale, scale, (n, k))
         density = rng.uniform(*esn_cfg.sparsity_range)
         w_r = rng.uniform(-scale, scale, (n, n))
@@ -379,21 +388,11 @@ def train_fesn(
         ).rescale(esn_cfg.alpha)
         states = res.rollout(ds.inputs)
         w_out, _ = fit_readout(states, ds.inputs, ds.targets, esn_cfg.ridge, ds.washout)
-        reservoirs.append(replace(res, w_out=w_out))
+        return replace(res, w_out=w_out), None
 
-    return FrscnModel(
-        rule_bank=bank,
-        sub_reservoirs=tuple(reservoirs),
-        normalization=stats,
-        metadata={
-            "kind": "fesn",
-            "q": q,
-            "seed": seed,
-            "esn_cfg": _cfg_dict(esn_cfg),
-            "fcm_cfg": _cfg_dict(fcm_cfg),
-            "normalize": normalize,
-        },
-    )
+    model, _ = _train_rules(train, "fesn", q, fcm_cfg, seed, normalize, "esn_cfg", esn_cfg,
+                            fixed_reservoir)
+    return model
 
 
 def _cfg_dict(cfg) -> dict:

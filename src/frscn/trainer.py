@@ -58,7 +58,6 @@ class ScConfig:
     ridge: float = 0.0
     initial_size: int = 5
     activation: str = "tanh"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -294,7 +293,7 @@ def _pool_attempts(rng, cfg, n_nodes, k, budget):
 def train_sub_reservoir(
     train: TimeSeriesDataset,
     cfg: ScConfig,
-    seed: int | None = None,
+    seed: int = 0,
     accept_hook=None,
 ) -> tuple[SubReservoir, TrainReport]:
     """Grow one sub-reservoir on the full target until tolerance or size cap.
@@ -318,7 +317,7 @@ def train_sub_reservoir(
 
     Deterministic: identical (train, cfg, seed) give identical results.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     u = train.inputs
     t = train.targets
     washout = train.washout

@@ -16,8 +16,8 @@ from frscn import (
     stacked_features,
     stacked_readout,
 )
-from frscn.cli import default_config, load_config_file, main
-from frscn.model import FrscnModel, feature_chunks
+from frscn.cli import build_parser, default_config, load_config_file, main
+from frscn.model import FrscnModel, feature_chunks, train_model
 
 
 def run(argv):
@@ -75,15 +75,23 @@ class TestConfig:
         assert cfg["washout"] == 100
 
     def test_defaults_are_the_config_dataclass_defaults(self):
+        import inspect
         from dataclasses import fields
 
-        from frscn import EsnConfig, FcmConfig, ScConfig
+        from frscn import EsnConfig, FcmConfig, ScConfig, grid_search, train_frscn
         cfg = default_config()
         for prefix, cls in (("sc", ScConfig), ("fcm", FcmConfig), ("esn", EsnConfig)):
             for f in fields(cls):
-                if f.name != "seed":  # one master seed, not one per config
-                    assert cfg[f"{prefix}.{f.name}"] == f.default, f"{prefix}.{f.name}"
+                assert cfg[f"{prefix}.{f.name}"] == f.default, f"{prefix}.{f.name}"
         assert (cfg["online.a"], cfg["online.c"]) == (OnlineState.a, OnlineState.c)
+        train = inspect.signature(train_frscn).parameters
+        for key in ("q", "seed", "normalize"):
+            assert cfg[key] == train[key].default, key
+        grid = inspect.signature(grid_search).parameters
+        args = build_parser().parse_args(["gridsearch", "--train", "t.csv", "--val", "v.csv"])
+        assert [int(v) for v in args.q_list.split(",")] == list(grid["q_values"].default)
+        assert [int(v) for v in args.n_list.split(",")] == list(grid["n_values"].default)
+        assert args.trials == grid["trials_per_cell"].default
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -150,6 +158,19 @@ class TestTrainPredictEval:
                         "--out-report", str(tmp_path / f"r_{tag}.json"), *FAST]) == 0
             paths.append(mp)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["frscn", "fesn"])
+    def test_cli_writes_the_library_model_file(self, data_dir, tmp_path, kind):
+        from frscn import EsnConfig, ScConfig
+        cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--model-kind", kind,
+                    "--seed", "5", "--esn-n-nodes", "6", "--out-model", str(cli_path),
+                    "--out-report", str(tmp_path / "r.json"), *FAST]) == 0
+        train = load_csv(data_dir / "train.csv", ["y", "u"], ["y_next"], washout=40)
+        model, _ = train_model(train, kind, q=2, sc_cfg=ScConfig(n_max=8, g_max=20),
+                               esn_cfg=EsnConfig(n_nodes=6), seed=5)
+        save_model(model, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
 
     def test_eval_perfect_model_reports_zero(self, tmp_path):
         # selector model reproduces the target column exactly

@@ -1,4 +1,7 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +213,49 @@ class TestLoadCsv:
         path = self.write(tmp_path, text)
         ds = load_csv(path, ["x"], ["x"])
         assert np.array_equal(ds.inputs[0], vals)
+
+
+def _parses(cell) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+class TestLoadCsvProperties:
+    CELLS = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["", " ", "x", "1e", "--1", "0x10", "nan", "inf", " 2.5 "]),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(good=st.lists(st.lists(st.floats(-1e6, 1e6).map(repr), min_size=3, max_size=3)
+                         .map(",".join), max_size=8),
+           planted=st.lists(st.tuples(st.integers(0, 8),
+                                      st.one_of(st.lists(CELLS, max_size=4).map(",".join),
+                                                st.sampled_from(["", "  "]))), max_size=3),
+           washout=st.integers(0, 3))
+    def test_malformed_files_fail_typed_and_name_the_line(self, good, planted, washout):
+        lines = list(good)
+        for at, line in planted:  # bad cells, short or long rows, blank lines
+            lines.insert(at, line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text("a,b,c\n" + "\n".join(lines) + "\n")
+            try:
+                ds = load_csv(path, ["a", "b"], ["c"], washout=washout)
+            except CsvParseError as exc:
+                line, col = re.search(r"row (\d+), column '(\w)'", str(exc)).groups()
+                cells = (["a,b,c"] + lines)[int(line) - 1].split(",")
+                idx = "abc".index(col)
+                assert idx >= len(cells) or not _parses(cells[idx])
+                return
+            except (SchemaError, ValueError):
+                return
+        rows = [ln.split(",") for ln in lines if ln.strip(" ,")]
+        assert ds.n_samples == len(rows)
+        assert ds.inputs.tolist() == [[float(r[0]) for r in rows], [float(r[1]) for r in rows]]
 
 
 class TestNormalization:

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from frscn import DegenerateDataError, FcmConfig, FuzzyRuleBank, fire_strengths, fit_fcm
-from frscn.fuzzy import fcm_objective, fire_strength_matrix, run_fcm
+from frscn.fuzzy import (
+    WIDTH_ABS_FLOOR,
+    WIDTH_RANGE_FLOOR,
+    fcm_objective,
+    fire_strength_matrix,
+    run_fcm,
+)
 
 
 def random_bank(rng, q, k, width_lo=0.1, width_hi=2.0):
@@ -19,7 +25,7 @@ class TestFcm:
     def test_single_cluster_is_mean(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(3, 200))
-        bank = fit_fcm(pts, 1, FcmConfig(seed=1))
+        bank = fit_fcm(pts, 1, seed=1)
         assert np.abs(bank.centers[0] - pts.mean(axis=1)).max() < 1e-9
 
     def test_two_separated_blobs(self):
@@ -27,7 +33,7 @@ class TestFcm:
         blob_a = rng.normal(0.0, 0.3, size=(2, 150))
         blob_b = rng.normal(0.0, 0.3, size=(2, 150)) + 10.0
         pts = np.hstack([blob_a, blob_b])
-        bank = fit_fcm(pts, 2, FcmConfig(seed=2))
+        bank = fit_fcm(pts, 2, seed=2)
         # oracle: the blob means themselves
         means = np.array([blob_a.mean(axis=1), blob_b.mean(axis=1)])
         for mean in means:
@@ -36,7 +42,7 @@ class TestFcm:
     def test_coincident_point_membership_is_one(self):
         # five copies of each of two points: centers converge onto the points
         pts = np.array([[0.0] * 5 + [10.0] * 5])
-        centers, mu, _ = run_fcm(pts, 2, FcmConfig(seed=0))
+        centers, mu, _ = run_fcm(pts, 2, FcmConfig(), seed=0)
         at_zero = int(np.argmin(np.abs(centers[:, 0])))
         assert mu[at_zero, 0] == 1.0
         assert mu[1 - at_zero, 0] == 0.0
@@ -44,7 +50,7 @@ class TestFcm:
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(2, 120))
-        _, _, trace = run_fcm(pts, 4, FcmConfig(seed=3))
+        _, _, trace = run_fcm(pts, 4, FcmConfig(), seed=3)
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9
 
@@ -60,8 +66,8 @@ class TestFcm:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(2, 80))
-        a = fit_fcm(pts, 3, FcmConfig(seed=4))
-        b = fit_fcm(pts, 3, FcmConfig(seed=4))
+        a = fit_fcm(pts, 3, seed=4)
+        b = fit_fcm(pts, 3, seed=4)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.widths, b.widths)
 
@@ -69,7 +75,7 @@ class TestFcm:
         # one constant dimension: its width lands on the absolute floor
         rng = np.random.default_rng(2)
         pts = np.vstack([rng.normal(size=80), np.full(80, 3.0)])
-        bank = fit_fcm(pts, 2, FcmConfig(seed=0))
+        bank = fit_fcm(pts, 2, seed=0)
         assert (bank.widths > 0).all()
         assert np.allclose(bank.widths[:, 1], 1e-6)
 
@@ -80,6 +86,44 @@ class TestFcm:
             FcmConfig(max_iter=0)
         with pytest.raises(ValueError):
             FcmConfig(tol=0.0)
+
+
+class TestFcmProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        n=st.integers(1, 60),
+        q=st.integers(1, 6),
+        scale=st.floats(1e-3, 1e3),
+        repeats=st.booleans(),
+        constant=st.booleans(),
+    )
+    def test_invariants(self, seed, k, n, q, scale, repeats, constant):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(k, n)) * scale
+        if repeats:  # coincident points take the zero-distance membership branch
+            pts = pts[:, rng.integers(0, max(1, n // 3), n)]
+        if constant:  # a zero-range dimension gets the absolute width floor
+            pts[0] = pts[0, 0]
+        q = min(q, np.unique(pts, axis=1).shape[1])
+        cfg = FcmConfig()
+
+        _, mu, trace = run_fcm(pts, q, cfg, seed=seed)
+        assert np.abs(mu.sum(axis=0) - 1.0).max() <= 1e-12
+        # rounding moves a center by some delta, and the objective J by up to
+        # 2 delta sqrt(n J) + n delta^2: visible when J is near zero
+        delta = 1e-14 * np.abs(pts).max()
+        for a, b in zip(trace, trace[1:]):
+            assert b <= a + 1e-12 * a + 2 * delta * np.sqrt(n * a) + n * delta**2
+
+        bank = fit_fcm(pts, q, cfg, seed=seed)
+        dim_range = pts.max(axis=1) - pts.min(axis=1)
+        floor = np.where(dim_range > 0, WIDTH_RANGE_FLOOR * dim_range, WIDTH_ABS_FLOOR)
+        assert (bank.widths >= floor).all()
+        again = fit_fcm(pts, q, cfg, seed=seed)
+        assert np.array_equal(bank.centers, again.centers)
+        assert np.array_equal(bank.widths, again.widths)
 
 
 class TestFireStrengths:

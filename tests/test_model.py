@@ -199,6 +199,22 @@ class TestRuleStackedServing:
         with pytest.raises(InputRangeError, match=f"input sample {PREDICT_CHUNK + 3} "):
             predict(model, inputs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [1e308, -1e308, np.inf, np.nan])
+    def test_session_rejects_an_input_out_of_range_and_keeps_its_state(self, bad):
+        rng = np.random.default_rng(16)
+        model = ragged_model(rng, (3, 7, 4))
+        inputs = rng.uniform(-3, 2, (2, 6))
+        hit, clean = model.session(), model.session()
+        for n in range(3):
+            hit.step(inputs[:, n])
+            clean.step(inputs[:, n])
+        for advance in (hit.step, hit.features):
+            with pytest.raises(InputRangeError, match="not finite after normalization"):
+                advance(np.array([0.1, bad]))
+        for n in range(3, 6):
+            assert np.array_equal(hit.step(inputs[:, n]), clean.step(inputs[:, n]))
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -363,6 +379,23 @@ class TestSerialization:
         clone = load_model(path)
         assert np.array_equal(
             predict(model, plant_train.inputs), predict(clone, plant_train.inputs)
+        )
+
+    def test_file_with_per_config_seeds_loads_and_predicts_alike(self, tmp_path, plant_train):
+        # files written while ScConfig and FcmConfig had a seed field carry it
+        # in the free-form metadata; the master seed is the only seed now
+        model, _ = train_frscn(plant_train, q=2, sc_cfg=ScConfig(n_max=8), seed=1)
+        assert "seed" not in model.metadata["sc_cfg"]
+        assert "seed" not in model.metadata["fcm_cfg"]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["metadata"]["sc_cfg"]["seed"] = doc["metadata"]["fcm_cfg"]["seed"] = 1
+        path.write_text(json.dumps(doc))
+        old = load_model(path)
+        assert old.metadata["sc_cfg"]["seed"] == 1
+        assert np.array_equal(
+            predict(old, plant_train.inputs), predict(model, plant_train.inputs)
         )
 
     def test_unknown_version_names_both(self, tmp_path):
