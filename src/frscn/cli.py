@@ -253,10 +253,10 @@ def cmd_online(args, cfg) -> int:
     data = _load_data(args.data, cfg, args)
     state = ol.init_online(model, a=cfg["online.a"], c=cfg["online.c"])
     st_theta0 = state.theta.copy()
-    updated, trace = ol.run_online(model, state, data)
+    updated, trace, steps = ol.run_online(model, state, data)
     save_model(updated, args.out_model)
     header = ["step"] + [f"e_s_{q + 1}" for q in range(trace.shape[0])]
-    ds_mod.write_series_csv(args.out_trace, header, [range(1, trace.shape[1] + 1)] + trace.tolist())
+    ds_mod.write_series_csv(args.out_trace, header, [steps.tolist()] + trace.tolist())
     moved = float(np.linalg.norm(st_theta0 - state.theta))
     print(f"online pass over {trace.shape[1]} samples, {state.skipped} skipped as non-finite; "
           f"readout moved {moved:.6g}; smallest diag(H) {np.diagonal(state.h).min():.6g}")

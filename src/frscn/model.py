@@ -19,7 +19,9 @@ from .errors import InputRangeError, ModelFormatError
 # wraps it in this module by name.
 from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm  # noqa: F401
 from .reservoir import ACTIVATIONS, SubReservoir, recurrence_step, run_recurrence
-from .trainer import ScConfig, fit_readout, train_sub_reservoir
+# train_sub_reservoir runs in the rule workers (growth.py); the benchmark's
+# tracer wraps it in this module by name.
+from .trainer import ScConfig, fit_readout, train_sub_reservoir  # noqa: F401
 
 MODEL_FORMAT_VERSION = "frscn-1"
 
@@ -296,14 +298,14 @@ def train_model(train: TimeSeriesDataset, kind: str = "frscn", sc_cfg: ScConfig 
 
 
 def _train_rules(train: TimeSeriesDataset, kind: str, q: int, fcm_cfg: FcmConfig | None,
-                 seed: int, normalize: bool, cfg_key: str, cfg, train_rule):
+                 seed: int, normalize: bool, cfg_key: str, cfg, train_rules):
     """The front end and assembly both trainers share; returns (model, reports).
 
     Checks q, fits and applies the normalization, derives q + 1 seeds from
     the master seed and fits the FCM rule bank under the first of them. Then
-    train_rule(normalized dataset, seed) -> (sub-reservoir, report) runs once
-    per rule under the rest, and the model records the run's settings, with
-    the reservoir settings cfg under cfg_key.
+    train_rules(normalized dataset, the other q seeds) returns one
+    (sub-reservoir, report) per seed, in seed order, and the model records the
+    run's settings, with the reservoir settings cfg under cfg_key.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -314,7 +316,7 @@ def _train_rules(train: TimeSeriesDataset, kind: str, q: int, fcm_cfg: FcmConfig
     seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(q + 1)]
     bank = fit_fcm(ds.inputs[:, ds.washout :], q, fcm_cfg, seeds[0])
 
-    reservoirs, reports = zip(*(train_rule(ds, rule_seed) for rule_seed in seeds[1:]))
+    reservoirs, reports = zip(*train_rules(ds, seeds[1:]))
     model = FrscnModel(
         rule_bank=bank,
         sub_reservoirs=reservoirs,
@@ -338,7 +340,6 @@ def train_frscn(
     fcm_cfg: FcmConfig | None = None,
     seed: int = 0,
     normalize: bool = True,
-    accept_hook=None,
 ) -> tuple[FrscnModel, list]:
     """Full training: rule extraction, per-rule supervisory growth, assembly.
 
@@ -347,11 +348,16 @@ def train_frscn(
     fuzzy layer is the identity and the result is the plain recurrent
     stochastic configuration model. seed is the master seed: the FCM
     initialization and each rule's growth run under seeds derived from it.
+    The rules grow in parallel worker processes (growth.grow_rules), so the
+    model does not depend on the core count.
     """
+    # deferred: the package import that starts `python -m frscn.growth` must
+    # not import growth itself, or the worker would run it a second time
+    from .growth import grow_rules
+
     sc_cfg = sc_cfg or ScConfig()
-    return _train_rules(
-        train, "frscn", q, fcm_cfg, seed, normalize, "sc_cfg", sc_cfg,
-        lambda ds, rule_seed: train_sub_reservoir(ds, sc_cfg, rule_seed, accept_hook=accept_hook))
+    return _train_rules(train, "frscn", q, fcm_cfg, seed, normalize, "sc_cfg", sc_cfg,
+                        lambda ds, seeds: grow_rules(ds, sc_cfg, seeds))
 
 
 def train_fesn(
@@ -391,7 +397,7 @@ def train_fesn(
         return replace(res, w_out=w_out), None
 
     model, _ = _train_rules(train, "fesn", q, fcm_cfg, seed, normalize, "esn_cfg", esn_cfg,
-                            fixed_reservoir)
+                            lambda ds, seeds: [fixed_reservoir(ds, s) for s in seeds])
     return model
 
 

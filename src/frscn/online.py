@@ -124,13 +124,15 @@ def run_online(model: FrscnModel, st: OnlineState, ds: TimeSeriesDataset):
     time, and the first sample whose update is rejected raises ValueError
     naming it. On completion the adapted Theta blocks are written back into a
     copy of the model's per-rule readouts. Returns (updated model, error trace
-    L x n_updates).
+    L x n_updates, the 1-based post-washout sample number of each update), so
+    a skipped sample shows as a gap in the sample numbers.
     """
     if ds.n_inputs != model.n_inputs or ds.n_outputs != model.n_outputs:
         raise ValueError(f"model is {model.n_inputs} in / {model.n_outputs} out, "
                          f"data is {ds.n_inputs} in / {ds.n_outputs} out")
     targets = model.normalization.apply_targets(ds.targets)
     trace = np.empty((model.n_outputs, ds.n_samples - ds.washout))
+    steps = np.empty(trace.shape[1], dtype=int)
     filled = 0
     for chunk, phi, blocks in feature_chunks(model, ds.inputs):
         start = max(chunk.start, ds.washout)
@@ -147,10 +149,11 @@ def run_online(model: FrscnModel, st: OnlineState, ds: TimeSeriesDataset):
             if e_s is None:
                 e_s = _replay(st, g[:, blk], t[:, blk], start + cols[blk])
             trace[:, filled : filled + e_s.shape[1]] = e_s
+            steps[filled : filled + e_s.shape[1]] = start + cols[blk] - ds.washout + 1
             filled += e_s.shape[1]
 
     updated = replace_readout(model, st.theta)
-    return updated, trace[:, :filled]
+    return updated, trace[:, :filled], steps[:filled]
 
 
 def _replay(st: OnlineState, g: np.ndarray, t: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -292,6 +292,10 @@ class TestOnlineCommand:
         rows = out_trace.read_text().strip().splitlines()[1:]
         assert len(rows) == (len(lines) - 1) - 40 - 1
         assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+        # step is the post-washout sample number: the planted sample 101 (post-washout
+        # sample 61) has no row, so the steps jump from 60 to 62
+        steps = [int(row.split(",")[0]) for row in rows]
+        assert steps == [n for n in range(1, (len(lines) - 1) - 40 + 1) if n != 61]
 
     @pytest.mark.filterwarnings("error")
     def test_diverging_readout_exits_1_without_writing(self, data_dir, tmp_path, capsys):

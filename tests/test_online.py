@@ -258,8 +258,9 @@ class TestRunOnline:
     def test_stable_on_training_data(self, small_model):
         train, model = small_model
         st = init_online(model, a=1.0, c=1e-2)
-        updated, trace = run_online(model, st, train)
+        updated, trace, steps = run_online(model, st, train)
         assert trace.shape[1] == train.n_samples - train.washout
+        assert np.array_equal(steps, np.arange(1, trace.shape[1] + 1))
         assert np.isfinite(trace).all()
         # offline residual scale in the normalized training space
         norm = model.normalization
@@ -284,7 +285,7 @@ class TestRunOnline:
             ),
         )
         st = init_online(perturbed, a=1.0, c=1e-2)
-        updated, trace = run_online(perturbed, st, ds)
+        updated, trace, _ = run_online(perturbed, st, ds)
         head = np.sqrt((trace[:, :40] ** 2).mean())
         tail = np.sqrt((trace[:, -40:] ** 2).mean())
         assert tail < 0.1 * head
@@ -292,7 +293,7 @@ class TestRunOnline:
     def test_writes_back_theta_blocks(self, small_model):
         train, model = small_model
         st = init_online(model)
-        updated, _ = run_online(model, st, train)
+        updated, _, _ = run_online(model, st, train)
         assert np.array_equal(stacked_readout(updated), st.theta)
 
     def test_chunked_pass_matches_per_sample_reference(self, monkeypatch):
@@ -332,7 +333,7 @@ class TestRunOnline:
 
         monkeypatch.setattr(PredictionSession, "_advance", no_session_step)
         st = init_online(model)
-        _, trace = run_online(model, st, ds)
+        _, trace, _ = run_online(model, st, ds)
         assert trace.shape == ref_trace.shape == (l_dims, n_samples - ds.washout)
         assert np.abs(st.theta - ref.theta).max() <= 1e-9 * np.abs(ref.theta).max()
         assert np.abs(trace - ref_trace).max() <= 1e-9 * np.abs(ref_trace).max()
@@ -340,7 +341,7 @@ class TestRunOnline:
     def test_rejected_blocks_replay_to_the_same_pass(self, small_model, monkeypatch):
         train, model = small_model
         ref = init_online(model)
-        _, ref_trace = run_online(model, ref, train)
+        _, ref_trace, _ = run_online(model, ref, train)
 
         block_step = online.online_step
 
@@ -349,7 +350,7 @@ class TestRunOnline:
 
         monkeypatch.setattr(online, "online_step", reject_blocks)
         st = init_online(model)
-        _, trace = run_online(model, st, train)
+        _, trace, _ = run_online(model, st, train)
         assert trace.shape == ref_trace.shape == (1, train.n_samples - train.washout)
         assert max_rel_diff(st.theta, ref.theta) <= 1e-9
         assert max_rel_diff(trace, ref_trace) <= 1e-9
@@ -362,9 +363,13 @@ class TestRunOnline:
         inputs[0, [train.washout + 5, train.washout + _ONLINE_BLOCK + 1]] = 1e308
         st = init_online(model)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, trace = run_online(model, st, replace(train, inputs=inputs))
+            _, trace, steps = run_online(model, st, replace(train, inputs=inputs))
         assert st.skipped == 2
         assert trace.shape[1] == train.n_samples - train.washout - 2
+        # the skipped samples' numbers are missing from the 1-based post-washout steps
+        missing = {6, _ONLINE_BLOCK + 2}
+        n_post = train.n_samples - train.washout
+        assert steps.tolist() == [n for n in range(1, n_post + 1) if n not in missing]
         assert np.isfinite(trace).all()
         st.assert_spd()
 
