@@ -56,10 +56,10 @@ CONFIG_SPEC = [
     ("washout", int, 100, "leading samples excluded from fits and metrics"),
     ("normalize", _bool, _TRAIN["normalize"], "map inputs/targets onto [-1,1] from training stats"),
     ("sc.n_max", int, _SC["n_max"], "maximum sub-reservoir size"),
-    ("sc.g_max", int, _SC["g_max"], "candidate draws per weight scale"),
+    ("sc.g_max", int, _SC["g_max"], "candidates per pool"),
     ("sc.epsilon", float, _SC["epsilon"], "residual F-norm tolerance"),
     ("sc.lambda_grid", _floats, _SC["lambda_grid"], "weight scale sequence"),
-    ("sc.r_schedule", _floats, _SC["r_schedule"], "contraction level sequence"),
+    ("sc.r_schedule", _floats, _SC["r_schedule"], "ladder of reported r values, then 1-1e-k"),
     ("sc.sparsity_range", _floats, _SC["sparsity_range"], "connection density range"),
     ("sc.alpha", float, _SC["alpha"], "spectral scaling factor"),
     ("sc.ridge", float, _SC["ridge"], "readout regularization"),

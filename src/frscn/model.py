@@ -18,7 +18,7 @@ from .errors import InputRangeError, ModelFormatError
 # fire_strengths is not called here; the benchmark's tracer (perfbench/spans.py)
 # wraps it in this module by name.
 from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm  # noqa: F401
-from .reservoir import ACTIVATIONS, SubReservoir, recurrence_step, run_recurrence
+from .reservoir import ACTIVATIONS, SubReservoir, quiet_sigmoid, recurrence_step, run_recurrence
 # train_sub_reservoir runs in the rule workers (growth.py); the benchmark's
 # tracer wraps it in this module by name.
 from .trainer import ScConfig, fit_readout, train_sub_reservoir  # noqa: F401
@@ -141,7 +141,8 @@ class PredictionSession:
         norm = model.normalization
         self._input_map = norm.input_map if norm.enabled else None
         self._target_map = norm.target_map if norm.enabled else None
-        self._g = ACTIVATIONS[model.activation]
+        # an errstate per step would cost tanh about 2 us; sigmoid needs one
+        self._g = quiet_sigmoid if model.activation == "sigmoid" else ACTIVATIONS[model.activation]
         self._b = model.b[..., None]
         self._design = np.zeros((q, n + k, 1))
         self._x, self._u_rows = self._design[:, :n], self._design[:, n:]
@@ -402,13 +403,7 @@ def train_fesn(
 
 
 def _cfg_dict(cfg) -> dict:
-    out = {}
-    for name, value in vars(cfg).items():
-        if isinstance(value, tuple):
-            out[name] = list(value)
-        else:
-            out[name] = value
-    return out
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(cfg).items()}
 
 
 def save_model(model: FrscnModel, path) -> None:

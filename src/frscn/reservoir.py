@@ -14,8 +14,17 @@ import numpy as np
 
 
 def sigmoid(x, out=None):
-    """Logistic function; like np.tanh, writes into out when it is given."""
+    """Logistic function; like np.tanh, writes into out when it is given.
+
+    Below x = -709, exp(-x) overflows to the right limit 0 with a warning.
+    """
     return np.divide(1.0, 1.0 + np.exp(-x), out=out)
+
+
+def quiet_sigmoid(x, out=None):
+    """sigmoid without the overflow warning; time loops silence it once instead."""
+    with np.errstate(over="ignore"):
+        return sigmoid(x, out=out)
 
 
 ACTIVATIONS = {"tanh": np.tanh, "sigmoid": sigmoid}
@@ -79,9 +88,10 @@ def run_recurrence(w_in, w_r, b, activation: str, inputs, x0=None) -> np.ndarray
     # strided, and elementwise work on it costs twice as much
     x = np.zeros(shape) if x0 is None else np.array(x0, dtype=float).reshape(shape)
     feedback = np.empty(shape)
-    for t in range(u.shape[1]):
-        column = states[..., t : t + 1]
-        column[...] = recurrence_step(w_r, g, x, column, feedback, x)
+    with np.errstate(over="ignore"):  # sigmoid's exp(-x) overflows to a 0 state
+        for t in range(u.shape[1]):
+            column = states[..., t : t + 1]
+            column[...] = recurrence_step(w_r, g, x, column, feedback, x)
     return states
 
 

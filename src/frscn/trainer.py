@@ -1,9 +1,10 @@
 """Node-by-node growth of one sub-reservoir under the supervisory test.
 
-Each growth step draws a batch of random candidate nodes, keeps those whose
-correlation with the current residual passes the xi inequality, and commits
-the best one. The readout is refit globally after every accepted node, so the
-residual trace is non-increasing.
+Each growth step screens a fixed number of random candidate pools at one
+weight scale, ranks every candidate by its xi score, and commits the best one
+that passes the xi inequality at some contraction level r of a fixed ladder
+(the best-of-pools rule of SC-III, Wang & Li 2017). The readout is refit
+globally after every accepted node, so the residual trace is non-increasing.
 
 Echo-state control: instead of rescaling the whole feedback matrix after
 every acceptance (which would perturb already-accepted nodes' states and can
@@ -15,7 +16,7 @@ earlier state rows never change, and the trace is monotone by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -26,14 +27,15 @@ from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value
 # Residual comparisons tolerate a relative slack of a few ulps so that the
 # monotonicity guard is not tripped by benign rounding in the refit.
 _GUARD_RTOL = 1e-12
-# Bound on random relaxation rounds after the r schedule is exhausted.
-_MAX_TAU_RELAX = 50
-# How many top-ranked candidates to try before declaring the batch failed.
+# Candidate pools screened at a weight scale before the best candidate of all
+# of them is judged; the smallest count that passes tools/accuracy_gate.py.
+_POOLS_PER_SCALE = 5
+# Top-ranked passing candidates kept per weight scale and tried, in xi order,
+# against the residual guard before the scale is raised.
 _MAX_ACCEPT_TRIES = 3
 # Candidate pools rolled out together in one recurrence loop. The loop's cost
 # is per-step dispatch, not width, so a batch costs little more than one pool;
-# pools after an accepted one are wasted, and each pool adds g_max * n_steps
-# floats to the workspace.
+# each pool adds g_max * n_steps floats to the workspace.
 _SCREEN_POOLS = 3
 
 
@@ -41,11 +43,11 @@ _SCREEN_POOLS = 3
 class ScConfig:
     """Supervisory-growth settings.
 
-    lambda_grid is the ascending weight-scale sequence candidates are drawn
-    from; r_schedule the ascending contraction levels tried when no candidate
-    passes; sparsity_range the connection-density interval for masking
-    candidate rows; alpha the spectral scaling factor; epsilon the residual
-    F-norm tolerance.
+    g_max is the number of candidates per pool; lambda_grid the ascending
+    weight scales candidates are drawn at; r_schedule the first rungs of the
+    ladder of reported r values (_r_ladder); sparsity_range the connection
+    density interval for candidate rows; alpha the spectral scaling factor;
+    epsilon the residual F-norm tolerance.
     """
 
     n_max: int = 100
@@ -94,9 +96,8 @@ class TrainReport:
 
     residual_trace[0] is the residual F-norm after the initial readout fit;
     each later entry follows one accepted node. The trace is non-increasing.
-    counters["pools_screened"] counts the candidate pools whose xi was
-    evaluated; counters["pools_rolled_out"] also counts the pools rolled out
-    ahead of an acceptance and discarded unjudged.
+    counters["pools_screened"] counts the candidate pools rolled out and
+    scored: _POOLS_PER_SCALE per weight scale tried.
     """
 
     residual_trace: list = field(default_factory=list)
@@ -115,18 +116,7 @@ class TrainReport:
         return all(t[i + 1] <= t[i] + slack for i in range(len(t) - 1))
 
     def to_dict(self) -> dict:
-        return {
-            "residual_trace": [float(v) for v in self.residual_trace],
-            "accepted_lambda": [float(v) for v in self.accepted_lambda],
-            "accepted_xi": [float(v) for v in self.accepted_xi],
-            "accepted_r": [float(v) for v in self.accepted_r],
-            "stop_reason": self.stop_reason,
-            "n_nodes": self.n_nodes,
-            "final_nrmse": float(self.final_nrmse),
-            "ridge_fallbacks": list(self.ridge_fallbacks),
-            "guard_rejections": self.guard_rejections,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainReport":
@@ -151,12 +141,41 @@ def evaluate_xi(residual: np.ndarray, candidate_states: np.ndarray, r: float, mu
     if not 0 <= mu <= 1 - r:
         raise ValueError("mu must satisfy 0 <= mu <= 1 - r")
     e = np.atleast_2d(np.asarray(residual, dtype=float))
+    xi = _projections(e, candidate_states) - (1.0 - mu - r) * (e * e).sum(axis=1)
+    return xi.sum(axis=1), xi
+
+
+def _projections(e: np.ndarray, candidate_states) -> np.ndarray:
+    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0."""
     s = np.atleast_2d(np.asarray(candidate_states, dtype=float))
     gg = (s * s).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = (s @ e.T) ** 2 / gg[:, None] - (1.0 - mu - r) * (e * e).sum(axis=1)
-    xi[gg <= 0.0] = -np.inf
-    return xi.sum(axis=1), xi
+        proj = (s @ e.T) ** 2 / gg[:, None]
+    proj[gg <= 0.0] = -np.inf
+    return proj
+
+
+def _r_ladder(r_schedule: tuple) -> tuple:
+    """The r values a node can be accepted at: r_schedule, then each 1 - 10**-k
+    (k = 5..9) above its last value."""
+    return r_schedule + tuple(r for r in (1.0 - 10.0**-k for k in range(5, 10)) if r > r_schedule[-1])
+
+
+def _ladder_rungs(e: np.ndarray, proj: np.ndarray, ladder: tuple, n_nodes: int) -> np.ndarray:
+    """Per candidate, the index of the smallest ladder r at which it passes the
+    xi test with mu = (1 - r)/(n_nodes + 1); len(ladder) where it passes at none.
+
+    Closed form: candidate g passes at r iff (1 - r) N/(N + 1) <= min_q
+    <e_q, g>^2 / (<g, g> <e_q, e_q>), where an output with a zero residual
+    always passes. proj is _projections(e, candidates).
+    """
+    energy = (e * e).sum(axis=1)
+    live = energy > 0
+    cos2 = (proj[:, live] / energy[live]).min(axis=1, initial=np.inf)
+    cos2[np.isneginf(proj).any(axis=1)] = -np.inf  # a zero candidate never passes
+    thresholds = (1.0 - np.asarray(ladder)) * (n_nodes / (n_nodes + 1))
+    # thresholds fall along the ladder: count the rungs still above cos2
+    return (thresholds[None, :] > cos2[:, None]).sum(axis=1)
 
 
 def fit_readout(
@@ -178,20 +197,17 @@ def fit_readout(
     n_feat = design.shape[0]
 
     def solve(reg: float):
+        a, b = design.T, rhs.T
         if reg > 0:
-            a = np.vstack([design.T, np.sqrt(reg) * np.eye(n_feat)])
-            b = np.vstack([rhs.T, np.zeros((n_feat, rhs.shape[0]))])
-        else:
-            a = design.T
-            b = rhs.T
+            a = np.vstack([a, np.sqrt(reg) * np.eye(n_feat)])
+            b = np.vstack([b, np.zeros((n_feat, rhs.shape[0]))])
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         return sol.T, rank
 
     w_out, rank = solve(ridge)
-    fallback = False
-    if ridge == 0.0 and rank < n_feat:
+    fallback = bool(ridge == 0.0 and rank < n_feat)
+    if fallback:
         w_out, _ = solve(1e-8)
-        fallback = True
     return w_out, fallback
 
 
@@ -203,9 +219,7 @@ def _residual(w_out, states, inputs, targets, washout):
 
 def _masked_uniform(rng, lam, shape, density):
     """Uniform [-lam, lam] draw with entries zeroed at probability 1 - density."""
-    vals = rng.uniform(-lam, lam, shape)
-    keep = rng.random(shape) < density
-    return vals * keep
+    return rng.uniform(-lam, lam, shape) * (rng.random(shape) < density)
 
 
 def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
@@ -252,42 +266,14 @@ def _candidate_states(res, pools, inputs, state_cache, work, scratch):
     self_w = np.concatenate([w_r_c[:, n] for _, w_r_c, _ in pools])
     x = np.zeros(out.shape[1])
     buf = np.empty(out.shape[1])
-    # each step overwrites its pre-activation row with the states it produces
-    for row in out:
-        np.multiply(self_w, x, out=buf)
-        buf += row
-        x = g(buf, out=row)
+    # each step overwrites its pre-activation row with the states it produces;
+    # sigmoid's exp(-x) overflows to a 0 state
+    with np.errstate(over="ignore"):
+        for row in out:
+            np.multiply(self_w, x, out=buf)
+            buf += row
+            x = g(buf, out=row)
     return [out[:, col].T for col in cols]
-
-
-def _relaxation_values(r_schedule, rng):
-    """Yield r values: the schedule, then random steps toward 1 under the rng."""
-    for r in r_schedule:
-        yield r
-    r = r_schedule[-1]
-    for _ in range(_MAX_TAU_RELAX):
-        if 1.0 - r <= 1e-9:
-            return
-        r = r + rng.uniform(0.0, 1.0 - r)
-        if r >= 1.0:
-            return
-        yield r
-
-
-def _pool_attempts(rng, cfg, n_nodes, k, budget):
-    """Yield (lam, r, pool, rng state after the draw) for one node's attempts.
-
-    Weight scales escalate only after the whole relaxation schedule fails at
-    the current scale: when the candidate pool at this lambda is empty, r is
-    relaxed and a fresh pool is drawn at the same scale. The r values of each
-    scale are drawn only when reached, so the rng interleaves them with the
-    pool draws. Restoring an attempt's state resumes the rng as if no later
-    attempt had been drawn.
-    """
-    for lam in cfg.lambda_grid:
-        for r in _relaxation_values(cfg.r_schedule, rng):
-            pool = _draw_pool(rng, cfg, lam, n_nodes, k, budget)
-            yield lam, r, pool, rng.bit_generator.state
 
 
 def train_sub_reservoir(
@@ -299,29 +285,28 @@ def train_sub_reservoir(
     """Grow one sub-reservoir on the full target until tolerance or size cap.
 
     Starts from ``cfg.initial_size`` randomly assigned nodes at the smallest
-    weight scale. Each further node walks the (lambda, r) attempts: every
-    attempt draws a pool of g_max candidates and scores it with xi; of the
-    candidates passing the screen, up to _MAX_ACCEPT_TRIES are tried in xi
-    order, and the first whose global readout refit does not raise the
-    residual is accepted. Growth stops at tolerance, at n_max, or when every
-    attempt fails ("no-candidate"). Candidate feedback rows are norm-capped
-    up front so the grown matrix never exceeds the alpha singular-value
-    budget; the screened states are therefore exactly the committed states
-    and no re-rollout is needed.
+    weight scale. Each further node tries the weight scales in order. At a
+    scale, _POOLS_PER_SCALE pools of g_max candidates are rolled out and
+    ranked by their xi sums, whose order does not depend on r. The top
+    _MAX_ACCEPT_TRIES candidates that pass the xi test at some rung of the
+    r ladder (_r_ladder) are tried in xi order, each at the smallest rung it
+    passes; the first whose global readout refit does not raise the residual
+    is accepted. The next scale is tried only when no candidate passes or
+    every try fails that guard. Growth stops at tolerance, at n_max, or when
+    every scale fails ("no-candidate"). Candidate feedback rows are
+    norm-capped up front so the grown matrix never exceeds the alpha
+    singular-value budget; the screened states are therefore exactly the
+    committed states and no re-rollout is needed.
 
-    Pools are rolled out _SCREEN_POOLS at a time and judged in attempt order;
-    on an acceptance the rng is reset to just after the accepted pool's
-    draws, so the result is identical to screening one pool at a time.
-    ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
-    before each commit, for instrumentation.
+    Pools are rolled out _SCREEN_POOLS at a time; the result does not depend
+    on that width. ``accept_hook(prev_residual, candidate_state, r, mu)`` is
+    invoked just before each commit, with the r and mu the candidate was
+    accepted at, for instrumentation.
 
     Deterministic: identical (train, cfg, seed) give identical results.
     """
     rng = np.random.default_rng(seed)
-    u = train.inputs
-    t = train.targets
-    washout = train.washout
-    k = train.n_inputs
+    u, t, washout, k = train.inputs, train.targets, train.washout, train.n_inputs
 
     lam0 = cfg.lambda_grid[0]
     n0 = cfg.initial_size
@@ -345,61 +330,71 @@ def train_sub_reservoir(
     report.residual_trace.append(resid)
 
     # Buffers reused by every node: the states of one batch of pools, and a
-    # G x n scratch for one pool's pre-activations, then for the pool judged.
+    # G x n scratch for one pool's pre-activations, then for the pool scored.
     work = np.empty((u.shape[1], _SCREEN_POOLS * cfg.g_max))
     scratch = np.empty((cfg.g_max, u.shape[1]))
-    counters = report.counters = {"pools_screened": 0, "pools_rolled_out": 0}
+    ladder = _r_ladder(cfg.r_schedule)
+    counters = report.counters = {"pools_screened": 0}
     while resid > cfg.epsilon and res.n_nodes < cfg.n_max:
+        n = res.n_nodes
         # Feedback-row budget keeping sigma_max of the grown matrix <= alpha:
         # ||G x||^2 <= (sigma_max^2 + ||row||^2) ||x||^2 for an appended row.
         # The alpha/2 term stops any single node from hoarding the budget.
         budget = min(cfg.alpha / 2.0, np.sqrt(max(cfg.alpha**2 - smax**2, 0.0)))
-        attempts = _pool_attempts(rng, cfg, res.n_nodes, k, budget)
-        accepted = False
-        while not accepted and (batch := list(islice(attempts, _SCREEN_POOLS))):
-            counters["pools_rolled_out"] += len(batch)
-            cands = _candidate_states(res, [pool for _, _, pool, _ in batch], u, states, work, scratch)
-            for (lam, r, (w_in_c, w_r_c, b_c), rng_state), cand in zip(batch, cands):
-                counters["pools_screened"] += 1
-                # Score the memory layout of a pool rolled out alone: on a
-                # strided view of a narrow pool, BLAS can sum <e, g> in another
-                # order and move xi in the last bits.
-                alone = scratch.reshape(cand.shape[::-1])
-                alone[...] = cand.T
-                cand = alone.T
-                mu = (1.0 - r) / (res.n_nodes + 1)
-                xi_total, xi_q = evaluate_xi(resid_mat, cand[:, washout:], r, mu)
-                passing = np.isfinite(xi_total) & (xi_q.min(axis=1) >= 0.0)
-                ranked = [i for i in np.argsort(xi_total)[::-1] if passing[i]][:_MAX_ACCEPT_TRIES]
-                for idx in ranked:
-                    grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
-                    new_states = np.vstack([states, cand[idx]])
-                    w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
-                    new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
-                    if new_resid <= resid * (1.0 + _GUARD_RTOL):
+        for lam in cfg.lambda_grid:
+            pools = (_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE))
+            top = []  # (xi key, w_in row, w_r row, b, state, rung) of the best passing so far
+            while batch := list(islice(pools, _SCREEN_POOLS)):
+                counters["pools_screened"] += len(batch)
+                for (w_in_c, w_r_c, b_c), cand in zip(batch, _candidate_states(res, batch, u, states, work, scratch)):
+                    # Score the memory layout of a pool rolled out alone: on a
+                    # strided view of a narrow pool, BLAS can sum <e, g> in
+                    # another order and move xi in the last bits.
+                    alone = scratch.reshape(cand.shape[::-1])
+                    alone[...] = cand.T
+                    cand = alone.T
+                    proj = _projections(resid_mat, cand[:, washout:])
+                    rungs = _ladder_rungs(resid_mat, proj, ladder, n)
+                    key = proj.sum(axis=1)
+                    passing = np.flatnonzero(rungs < len(ladder))
+                    best = passing[np.argsort(-key[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]
+                    # a stable sort: of equal keys, the earlier draw stays first
+                    top = sorted(top + [(key[i], w_in_c[i], w_r_c[i], b_c[i], cand[i].copy(), rungs[i])
+                                        for i in best], key=lambda c: -c[0])[:_MAX_ACCEPT_TRIES]
+            for _, w_in_row, w_r_row, b_new, state, rung in top:
+                # confirm the closed form's rung; rounding at a rung's edge may lift it
+                for r in ladder[rung:]:
+                    mu = (1.0 - r) / (n + 1)
+                    xi, xi_q = evaluate_xi(resid_mat, state[washout:], r, mu)
+                    if xi_q.min() >= 0.0:
                         break
-                    report.guard_rejections += 1
                 else:
-                    continue  # no candidate passed both the screen and the guard
-                # drop the draws of the pools after this one, unjudged
-                rng.bit_generator.state = rng_state
-                if accept_hook is not None:
-                    accept_hook(resid_mat.copy(), cand[idx, washout:].copy(), r, mu)
-                if fallback:
-                    report.ridge_fallbacks.append(grown.n_nodes)
-                res = replace(grown, w_out=w_out)
-                smax = max_singular_value(res.w_r)
-                states = new_states
-                resid_mat, resid = new_resid_mat, new_resid
-                report.residual_trace.append(resid)
-                report.accepted_lambda.append(lam)
-                report.accepted_xi.append(float(xi_total[idx]))
-                report.accepted_r.append(r)
-                accepted = True
-                break
-        if not accepted:
+                    continue
+                grown = res.grow(w_in_row, w_r_row, b_new)
+                new_states = np.vstack([states, state])
+                w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
+                new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
+                if new_resid <= resid * (1.0 + _GUARD_RTOL):
+                    break
+                report.guard_rejections += 1
+            else:
+                continue  # no candidate at this scale passed both the screen and the guard
+            break
+        else:
             report.stop_reason = "no-candidate"
             break
+        if accept_hook is not None:
+            accept_hook(resid_mat.copy(), state[washout:].copy(), r, mu)
+        if fallback:
+            report.ridge_fallbacks.append(grown.n_nodes)
+        res = replace(grown, w_out=w_out)
+        smax = max_singular_value(res.w_r)
+        states = new_states
+        resid_mat, resid = new_resid_mat, new_resid
+        report.residual_trace.append(resid)
+        report.accepted_lambda.append(lam)
+        report.accepted_xi.append(float(xi[0]))
+        report.accepted_r.append(r)
 
     if not report.stop_reason:
         report.stop_reason = "tolerance" if resid <= cfg.epsilon else "size-cap"

@@ -215,6 +215,22 @@ class TestRuleStackedServing:
         for n in range(3, 6):
             assert np.array_equal(hit.step(inputs[:, n]), clean.step(inputs[:, n]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_overflow_is_silent(self):
+        # without normalization a far input drives exp(-x) past overflow; the
+        # state it gives, 0, is the right limit and no warning is printed
+        rng = np.random.default_rng(17)
+        model = ragged_model(rng, (3, 7, 4), "sigmoid")
+        model = replace(model, normalization=replace(model.normalization, enabled=False))
+        inputs = rng.uniform(-3, 2, (2, 8))
+        inputs[:, 3] = [-1e200, 1e200]
+        batch = predict(model, inputs)
+        session = model.session()
+        steps = np.column_stack([session.step(inputs[:, n]) for n in range(inputs.shape[1])])
+        assert np.isfinite(batch).all()
+        assert np.abs(steps - batch).max() <= 1e-12 * 1e200
+
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -244,12 +260,11 @@ class TestRuleStackedServing:
             for n, value in far:
                 inputs[n % k, n % n_steps] = value
 
-        with np.errstate(over="ignore"):  # sigmoid's exp(-x) overflows to a 0 state
-            batch = predict(model, inputs)
-            chunks = list(feature_chunks(model, inputs))
-            session, features = model.session(), model.session()
-            steps = np.column_stack([session.step(inputs[:, n]) for n in range(n_steps)])
-            feats = [features.features(inputs[:, n]) for n in range(n_steps)]
+        batch = predict(model, inputs)
+        chunks = list(feature_chunks(model, inputs))
+        session, features = model.session(), model.session()
+        steps = np.column_stack([session.step(inputs[:, n]) for n in range(n_steps)])
+        feats = [features.features(inputs[:, n]) for n in range(n_steps)]
         # outputs and blocks are linear in u(n): compare at the scale of the input
         scale = 1.0 + np.abs(inputs).max(axis=0)
         assert np.isfinite(steps).all() and np.isfinite(batch).all()

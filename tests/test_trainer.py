@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frscn import (
     ScConfig,
@@ -267,8 +269,7 @@ class TestBatchedScreening:
                                            accept_hook=lambda e, g, r, mu: accepted.append((r, mu)))
             return res, rep, accepted
 
-        width = trainer._SCREEN_POOLS
-        assert width > 1
+        assert trainer._SCREEN_POOLS == 3
         res_b, rep_b, hook_b = grow()
         monkeypatch.setattr(trainer, "_SCREEN_POOLS", 1)
         res_s, rep_s, hook_s = grow()
@@ -277,13 +278,57 @@ class TestBatchedScreening:
         for field in ("w_in", "w_r", "b", "w_out"):
             assert np.array_equal(getattr(res_b, field), getattr(res_s, field))
         assert hook_b == hook_s
-        d_b, d_s = rep_b.to_dict(), rep_s.to_dict()
-        rolled_b = d_b["counters"].pop("pools_rolled_out")
-        rolled_s = d_s["counters"].pop("pools_rolled_out")
-        assert d_b == d_s
-        # serial screening wastes nothing; batches waste at most the pools
-        # after each accepted one
-        screened, n_accepted = rep_s.counters["pools_screened"], len(rep_s.accepted_r)
-        assert rolled_s == screened
-        assert rolled_b >= screened >= n_accepted
-        assert rolled_b - screened <= (width - 1) * (n_accepted + 1)
+        assert rep_b.to_dict() == rep_s.to_dict()
+
+    @pytest.mark.parametrize(
+        "kwargs, seed",
+        [({"n_max": 20}, 9), ({"n_max": 40, "g_max": 2, "lambda_grid": (0.1, 0.5)}, 1)],
+    )
+    def test_pools_screened_per_weight_scale_tried(self, plant_train, kwargs, seed):
+        cfg = ScConfig(**kwargs)
+        _, rep = train_sub_reservoir(plant_train, cfg, seed=seed)
+        # a node accepted at the j-th scale tried j + 1 scales; a failed node all
+        scales = sum(cfg.lambda_grid.index(lam) + 1 for lam in rep.accepted_lambda)
+        if rep.stop_reason == "no-candidate":
+            scales += len(cfg.lambda_grid)
+        assert rep.counters == {"pools_screened": trainer._POOLS_PER_SCALE * scales}
+
+
+class TestLadderRungs:
+    def test_ladder_extends_the_schedule_toward_one(self):
+        assert trainer._r_ladder((0.9, 0.99)) == (0.9, 0.99) + tuple(1 - 10.0**-k for k in range(5, 10))
+        assert trainer._r_ladder((0.5, 1 - 1e-7)) == (0.5, 1 - 1e-7, 1 - 1e-8, 1 - 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_outputs=st.integers(1, 3),
+        n_cand=st.integers(1, 6),
+        n_nodes=st.integers(1, 100),
+        schedule=st.sampled_from([(0.9, 0.99, 0.999, 0.9999), (0.5,), (0.3, 0.999999)]),
+        zero_rows=st.sets(st.integers(0, 2)),
+        zero_cands=st.sets(st.integers(0, 5)),
+    )
+    def test_closed_form_rung_is_the_smallest_passing_r(self, seed, n_outputs, n_cand, n_nodes,
+                                                          schedule, zero_rows, zero_cands):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(n_outputs, 40))
+        # candidates from nearly parallel to the residual to nearly orthogonal,
+        # so that every rung, and no rung, is reached
+        noise = rng.normal(size=(n_cand, 40))
+        basis = np.linalg.qr(e.T)[0]
+        half = rng.random(n_cand) < 0.5
+        noise[half] -= (noise[half] @ basis) @ basis.T
+        weights = 10.0 ** rng.uniform(-7, 1, (n_cand, 1))
+        cands = weights * e[rng.integers(0, n_outputs, n_cand)] + noise
+        for q in zero_rows:
+            e[q % n_outputs] = 0.0
+        for i in zero_cands:
+            cands[i % n_cand] = 0.0
+        ladder = trainer._r_ladder(schedule)
+        rungs = trainer._ladder_rungs(e, trainer._projections(e, cands), ladder, n_nodes)
+        expected = np.full(n_cand, len(ladder))
+        for j, r in reversed(list(enumerate(ladder))):
+            _, xi_q = evaluate_xi(e, cands, r, (1.0 - r) / (n_nodes + 1))
+            expected[xi_q.min(axis=1) >= 0.0] = j
+        assert np.array_equal(rungs, expected)
