@@ -403,7 +403,13 @@ def train_fesn(
 
 
 def _cfg_dict(cfg) -> dict:
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(cfg).items()}
+    out = {}
+    for name, value in vars(cfg).items():
+        if isinstance(value, tuple):
+            out[name] = list(value)
+        else:
+            out[name] = value
+    return out
 
 
 def save_model(model: FrscnModel, path) -> None:

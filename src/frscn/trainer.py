@@ -16,8 +16,7 @@ earlier state rows never change, and the trace is monotone by construction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,14 +28,13 @@ from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value
 _GUARD_RTOL = 1e-12
 # Candidate pools screened at a weight scale before the best candidate of all
 # of them is judged; the smallest count that passes tools/accuracy_gate.py.
+# They are rolled out together in one recurrence loop, whose cost is per-step
+# dispatch more than width; each pool adds g_max * n_steps floats to the
+# workspace.
 _POOLS_PER_SCALE = 5
 # Top-ranked passing candidates kept per weight scale and tried, in xi order,
 # against the residual guard before the scale is raised.
 _MAX_ACCEPT_TRIES = 3
-# Candidate pools rolled out together in one recurrence loop. The loop's cost
-# is per-step dispatch, not width, so a batch costs little more than one pool;
-# each pool adds g_max * n_steps floats to the workspace.
-_SCREEN_POOLS = 3
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,18 @@ class TrainReport:
         return all(t[i + 1] <= t[i] + slack for i in range(len(t) - 1))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "residual_trace": [float(v) for v in self.residual_trace],
+            "accepted_lambda": [float(v) for v in self.accepted_lambda],
+            "accepted_xi": [float(v) for v in self.accepted_xi],
+            "accepted_r": [float(v) for v in self.accepted_r],
+            "stop_reason": self.stop_reason,
+            "n_nodes": self.n_nodes,
+            "final_nrmse": float(self.final_nrmse),
+            "ridge_fallbacks": list(self.ridge_fallbacks),
+            "guard_rejections": self.guard_rejections,
+            "counters": dict(self.counters),
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainReport":
@@ -197,17 +206,20 @@ def fit_readout(
     n_feat = design.shape[0]
 
     def solve(reg: float):
-        a, b = design.T, rhs.T
         if reg > 0:
-            a = np.vstack([a, np.sqrt(reg) * np.eye(n_feat)])
-            b = np.vstack([b, np.zeros((n_feat, rhs.shape[0]))])
+            a = np.vstack([design.T, np.sqrt(reg) * np.eye(n_feat)])
+            b = np.vstack([rhs.T, np.zeros((n_feat, rhs.shape[0]))])
+        else:
+            a = design.T
+            b = rhs.T
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         return sol.T, rank
 
     w_out, rank = solve(ridge)
-    fallback = bool(ridge == 0.0 and rank < n_feat)
-    if fallback:
+    fallback = False
+    if ridge == 0.0 and rank < n_feat:
         w_out, _ = solve(1e-8)
+        fallback = True
     return w_out, fallback
 
 
@@ -219,7 +231,9 @@ def _residual(w_out, states, inputs, targets, washout):
 
 def _masked_uniform(rng, lam, shape, density):
     """Uniform [-lam, lam] draw with entries zeroed at probability 1 - density."""
-    return rng.uniform(-lam, lam, shape) * (rng.random(shape) < density)
+    vals = rng.uniform(-lam, lam, shape)
+    keep = rng.random(shape) < density
+    return vals * keep
 
 
 def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
@@ -298,15 +312,18 @@ def train_sub_reservoir(
     singular-value budget; the screened states are therefore exactly the
     committed states and no re-rollout is needed.
 
-    Pools are rolled out _SCREEN_POOLS at a time; the result does not depend
-    on that width. ``accept_hook(prev_residual, candidate_state, r, mu)`` is
-    invoked just before each commit, with the r and mu the candidate was
-    accepted at, for instrumentation.
+    The pools of a scale are rolled out together in one recurrence loop.
+    ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
+    before each commit, with the r and mu the candidate was accepted at, for
+    instrumentation.
 
     Deterministic: identical (train, cfg, seed) give identical results.
     """
     rng = np.random.default_rng(seed)
-    u, t, washout, k = train.inputs, train.targets, train.washout, train.n_inputs
+    u = train.inputs
+    t = train.targets
+    washout = train.washout
+    k = train.n_inputs
 
     lam0 = cfg.lambda_grid[0]
     n0 = cfg.initial_size
@@ -329,9 +346,9 @@ def train_sub_reservoir(
     resid_mat, resid = _residual(w_out, states, u, t, washout)
     report.residual_trace.append(resid)
 
-    # Buffers reused by every node: the states of one batch of pools, and a
+    # Buffers reused by every node: the states of one scale's pools, and a
     # G x n scratch for one pool's pre-activations, then for the pool scored.
-    work = np.empty((u.shape[1], _SCREEN_POOLS * cfg.g_max))
+    work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max))
     scratch = np.empty((cfg.g_max, u.shape[1]))
     ladder = _r_ladder(cfg.r_schedule)
     counters = report.counters = {"pools_screened": 0}
@@ -342,35 +359,35 @@ def train_sub_reservoir(
         # The alpha/2 term stops any single node from hoarding the budget.
         budget = min(cfg.alpha / 2.0, np.sqrt(max(cfg.alpha**2 - smax**2, 0.0)))
         for lam in cfg.lambda_grid:
-            pools = (_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE))
-            top = []  # (xi key, w_in row, w_r row, b, state, rung) of the best passing so far
-            while batch := list(islice(pools, _SCREEN_POOLS)):
-                counters["pools_screened"] += len(batch)
-                for (w_in_c, w_r_c, b_c), cand in zip(batch, _candidate_states(res, batch, u, states, work, scratch)):
-                    # Score the memory layout of a pool rolled out alone: on a
-                    # strided view of a narrow pool, BLAS can sum <e, g> in
-                    # another order and move xi in the last bits.
-                    alone = scratch.reshape(cand.shape[::-1])
-                    alone[...] = cand.T
-                    cand = alone.T
-                    proj = _projections(resid_mat, cand[:, washout:])
-                    rungs = _ladder_rungs(resid_mat, proj, ladder, n)
-                    key = proj.sum(axis=1)
-                    passing = np.flatnonzero(rungs < len(ladder))
-                    best = passing[np.argsort(-key[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]
-                    # a stable sort: of equal keys, the earlier draw stays first
-                    top = sorted(top + [(key[i], w_in_c[i], w_r_c[i], b_c[i], cand[i].copy(), rungs[i])
-                                        for i in best], key=lambda c: -c[0])[:_MAX_ACCEPT_TRIES]
-            for _, w_in_row, w_r_row, b_new, state, rung in top:
+            pools = [_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]
+            counters["pools_screened"] += len(pools)
+            cands = _candidate_states(res, pools, u, states, work, scratch)
+            keys, rungs = [], []
+            for cand in cands:
+                # Score the memory layout of a pool rolled out alone: on a
+                # strided view of a narrow pool, BLAS can sum <e, g> in
+                # another order and move xi in the last bits.
+                alone = scratch.reshape(cand.shape[::-1])
+                alone[...] = cand.T
+                proj = _projections(resid_mat, alone.T[:, washout:])
+                keys.append(proj.sum(axis=1))
+                rungs.append(_ladder_rungs(resid_mat, proj, ladder, n))
+            keys, rungs = np.concatenate(keys), np.concatenate(rungs)
+            passing = np.flatnonzero(rungs < len(ladder))
+            # a stable sort: of equal keys, the earlier draw stays first
+            for idx in passing[np.argsort(-keys[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]:
+                pool, i = divmod(idx, cfg.g_max)
+                w_in_c, w_r_c, b_c = pools[pool]
+                state = cands[pool][i].copy()
                 # confirm the closed form's rung; rounding at a rung's edge may lift it
-                for r in ladder[rung:]:
+                for r in ladder[rungs[idx]:]:
                     mu = (1.0 - r) / (n + 1)
                     xi, xi_q = evaluate_xi(resid_mat, state[washout:], r, mu)
                     if xi_q.min() >= 0.0:
                         break
                 else:
                     continue
-                grown = res.grow(w_in_row, w_r_row, b_new)
+                grown = res.grow(w_in_c[i], w_r_c[i], b_c[i])
                 new_states = np.vstack([states, state])
                 w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
                 new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)

@@ -269,9 +269,15 @@ class TestBatchedScreening:
                                            accept_hook=lambda e, g, r, mu: accepted.append((r, mu)))
             return res, rep, accepted
 
-        assert trainer._SCREEN_POOLS == 3
+        together = trainer._candidate_states
+
+        def one_at_a_time(res, pools, inputs, state_cache, work, scratch):
+            # each pool in its own loop and workspace, as if screened alone
+            return [together(res, [pool], inputs, state_cache, np.empty((inputs.shape[1], cfg.g_max)), scratch)[0]
+                    for pool in pools]
+
         res_b, rep_b, hook_b = grow()
-        monkeypatch.setattr(trainer, "_SCREEN_POOLS", 1)
+        monkeypatch.setattr(trainer, "_candidate_states", one_at_a_time)
         res_s, rep_s, hook_s = grow()
 
         assert rep_s.stop_reason == stop_reason

@@ -7,7 +7,7 @@ Usage:
 Each SRC is a directory holding an ``frscn`` package, for example the
 ``src`` of a ``git worktree add`` checkout of the parent commit. Each tree is
 trained in its own subprocess with that tree first on PYTHONPATH: one F-RSCN
-per seed 0 .. seeds-1 (Q=5, N=50 by default) on the acceptance train set
+per seed 0 .. seeds-1 (Q=5; N=50 by default) on the acceptance train set
 (2000 ``train-random`` samples at seed 1, washout 100). Every model is scored
 on four test sequences of 1000 samples: ``paper-test`` at seed 0 and
 ``train-random`` at seeds 3, 4 and 5.
@@ -40,6 +40,7 @@ import numpy as np
 
 # (mode, seed) of the test sequences every model is scored on
 TEST_SEQUENCES = (("paper-test", 0), ("train-random", 3), ("train-random", 4), ("train-random", 5))
+Q = 5
 TRAIN_SAMPLES = 2000
 TEST_SAMPLES = 1000
 WASHOUT = 100
@@ -77,7 +78,7 @@ def decide(base_test: np.ndarray, change_test: np.ndarray) -> dict:
             "passes": bool(hi <= PASS_LOG_RATIO)}
 
 
-def score_tree(seeds: int, q: int, n_max: int) -> dict:
+def score_tree(seeds: int, n_max: int) -> dict:
     """Train and score seeds 0 .. seeds-1 with the frscn found on sys.path."""
     from frscn import ScConfig, generate_plant_sequence, nrmse, predict, train_frscn
 
@@ -87,19 +88,19 @@ def score_tree(seeds: int, q: int, n_max: int) -> dict:
     out = {"train": [], "test": [], "seconds": []}
     for seed in range(seeds):
         started = time.perf_counter()
-        model, _ = train_frscn(train, q=q, sc_cfg=ScConfig(n_max=n_max), seed=seed)
+        model, _ = train_frscn(train, q=Q, sc_cfg=ScConfig(n_max=n_max), seed=seed)
         out["seconds"].append(time.perf_counter() - started)
         out["train"].append(nrmse(predict(model, train.inputs), train.targets, WASHOUT))
         out["test"].append([nrmse(predict(model, ds.inputs), ds.targets, WASHOUT) for ds in tests])
     return out
 
 
-def run_tree(src: str, seeds: int, q: int, n_max: int) -> dict:
+def run_tree(src: str, seeds: int, n_max: int) -> dict:
     """score_tree in a subprocess that imports frscn from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
     argv = [sys.executable, os.path.abspath(__file__), "--score", "--seeds", str(seeds),
-            "--q", str(q), "--sc-n-max", str(n_max)]
+            "--sc-n-max", str(n_max)]
     # cwd is an empty directory, so nothing in the caller's cwd shadows frscn
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run(argv, env=env, cwd=tmp, capture_output=True, text=True)
@@ -113,14 +114,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="src directory of the reference tree")
     parser.add_argument("--change", help="src directory of the tree under test")
     parser.add_argument("--seeds", type=int, default=30, help="model seeds 0 .. SEEDS-1")
-    parser.add_argument("--q", type=int, default=5, help="number of fuzzy rules")
     parser.add_argument("--sc-n-max", type=int, default=50, help="maximum sub-reservoir size")
     parser.add_argument("--score", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
     if args.score:
-        json.dump(score_tree(args.seeds, args.q, args.sc_n_max), sys.stdout)
+        json.dump(score_tree(args.seeds, args.sc_n_max), sys.stdout)
         return 0
     if not (args.base and args.change):
         parser.error("--base and --change are required")
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
         if not os.path.isdir(os.path.join(src, "frscn")):
             parser.error(f"--{name} {src}: no frscn package there")
         started = time.perf_counter()
-        runs[name] = run_tree(src, args.seeds, args.q, args.sc_n_max)
+        runs[name] = run_tree(src, args.seeds, args.sc_n_max)
         runs[name]["wall_s"] = time.perf_counter() - started
     verdict = decide(np.array(runs["base"]["test"]), np.array(runs["change"]["test"]))
     for name, run in runs.items():
