@@ -63,7 +63,7 @@ CONFIG_SPEC = [
     ("sc.sparsity_range", _floats, _SC["sparsity_range"], "connection density range"),
     ("sc.alpha", float, _SC["alpha"], "spectral scaling factor"),
     ("sc.ridge", float, _SC["ridge"], "readout regularization"),
-    ("sc.initial_size", int, _SC["initial_size"], "initial reservoir size"),
+    ("sc.initial_size", int, _SC["initial_size"], "initial reservoir size, at most n_max"),
     ("sc.activation", str, _SC["activation"], "tanh or sigmoid"),
     ("fcm.m", float, _FCM["m"], "fuzziness exponent"),
     ("fcm.max_iter", int, _FCM["max_iter"], "clustering iteration cap"),

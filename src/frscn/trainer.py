@@ -12,6 +12,8 @@ push the refit residual back up), each candidate's feedback row is capped
 before screening so that the grown matrix keeps its largest singular value
 at or below alpha. Accepted nodes therefore behave exactly as screened,
 earlier state rows never change, and the trace is monotone by construction.
+Screening keeps a time-major design [u(t), 1, x(t-1)] per rule, so one
+product gives every candidate of a weight scale its pre-activations.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value
 _GUARD_RTOL = 1e-12
 # Candidate pools screened at a weight scale before the best candidate of all
 # of them is judged; the smallest count that passes tools/accuracy_gate.py.
-# They are rolled out together in one recurrence loop, whose cost is per-step
+# Their pre-activations come from one product with the rule's design, and they
+# are rolled out together in one recurrence loop, whose cost is per-step
 # dispatch more than width; each pool adds g_max * n_steps floats to the
 # workspace.
 _POOLS_PER_SCALE = 5
@@ -254,29 +257,22 @@ def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
     return w_in_c, w_r_c, b_c
 
 
-def _candidate_states(res, pools, inputs, state_cache, work, scratch):
-    """States of every candidate of every pool: one G x n view per pool.
+def _candidate_states(res, pools, design, work):
+    """States of every candidate of every pool: a T x (pools * G) view of work.
 
-    All pools advance together in one loop over time, writing into the
-    time-major workspace work (n x at least len(pools) * G), so the views
-    are valid until the next call; scratch (G x n) holds one pool's
-    pre-activations at a time. Exact under triangularity: a new node reads
-    only the cached states of accepted nodes plus its own previous state, so
-    no full re-rollout is needed during screening.
+    Column j * G + i holds candidate i of pool j. design is the rule's
+    time-major [u(t), 1, x(t-1)] (T x at least K + 1 + n), so one product
+    with the pools' stacked [w_in_c, b_c, w_r_c[:, :n]] gives every
+    candidate's pre-activations; the pools then advance together in one loop
+    over time. Exact under triangularity: a new node reads only the accepted
+    nodes' states plus its own previous state, so no full re-rollout is
+    needed during screening. The view is valid until the next call.
     """
     g = ACTIVATIONS[res.activation]
     n = res.n_nodes
-    n_cand = pools[0][0].shape[0]
-    out = work[:, :len(pools) * n_cand]
-    cols = [slice(j * n_cand, (j + 1) * n_cand) for j in range(len(pools))]
-    for (w_in_c, w_r_c, b_c), col in zip(pools, cols):
-        # One product per pool: a single gemm over all pools runs other BLAS
-        # kernels and does not reproduce a pool screened alone bit for bit.
-        pre = np.matmul(w_in_c, inputs, out=scratch)
-        pre += b_c[:, None]
-        # feedback reads the accepted nodes' states one step back; x(0) = 0
-        pre[:, 1:] += w_r_c[:, :n] @ state_cache[:, :-1]
-        out[:, col] = pre.T
+    weights = np.vstack([np.column_stack([w_in_c, b_c, w_r_c[:, :n]])
+                         for w_in_c, w_r_c, b_c in pools])
+    out = np.matmul(design[:, :weights.shape[1]], weights.T, out=work[:, :weights.shape[0]])
     self_w = np.concatenate([w_r_c[:, n] for _, w_r_c, _ in pools])
     x = np.zeros(out.shape[1])
     buf = np.empty(out.shape[1])
@@ -287,7 +283,7 @@ def _candidate_states(res, pools, inputs, state_cache, work, scratch):
             np.multiply(self_w, x, out=buf)
             buf += row
             x = g(buf, out=row)
-    return [out[:, col].T for col in cols]
+    return out
 
 
 def train_sub_reservoir(
@@ -298,10 +294,10 @@ def train_sub_reservoir(
 ) -> tuple[SubReservoir, TrainReport]:
     """Grow one sub-reservoir on the full target until tolerance or size cap.
 
-    Starts from ``cfg.initial_size`` randomly assigned nodes at the smallest
-    weight scale. Each further node tries the weight scales in order. At a
-    scale, _POOLS_PER_SCALE pools of g_max candidates are rolled out and
-    ranked by their xi sums, whose order does not depend on r. The top
+    Starts from min(initial_size, n_max) randomly assigned nodes at the
+    smallest weight scale. Each further node tries the weight scales in
+    order. At a scale, _POOLS_PER_SCALE pools of g_max candidates are rolled
+    out and ranked by their xi sums, whose order does not depend on r. The top
     _MAX_ACCEPT_TRIES candidates that pass the xi test at some rung of the
     r ladder (_r_ladder) are tried in xi order, each at the smallest rung it
     passes; the first whose global readout refit does not raise the residual
@@ -312,7 +308,9 @@ def train_sub_reservoir(
     singular-value budget; the screened states are therefore exactly the
     committed states and no re-rollout is needed.
 
-    The pools of a scale are rolled out together in one recurrence loop.
+    A scale's pools get their pre-activations from one product with the
+    rule's design (T x K + 1 + n_max; each accepted node fills its next state
+    column) and are rolled out together in one recurrence loop.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, with the r and mu the candidate was accepted at, for
     instrumentation.
@@ -326,7 +324,7 @@ def train_sub_reservoir(
     k = train.n_inputs
 
     lam0 = cfg.lambda_grid[0]
-    n0 = cfg.initial_size
+    n0 = min(cfg.initial_size, cfg.n_max)
     density = rng.uniform(*cfg.sparsity_range)
     w_in = rng.uniform(-lam0, lam0, (n0, k))
     w_r = np.tril(_masked_uniform(rng, lam0, (n0, n0), density))
@@ -346,10 +344,13 @@ def train_sub_reservoir(
     resid_mat, resid = _residual(w_out, states, u, t, washout)
     report.residual_trace.append(resid)
 
-    # Buffers reused by every node: the states of one scale's pools, and a
-    # G x n scratch for one pool's pre-activations, then for the pool scored.
+    # Buffers reused by every node: the design [u(t), 1, x(t-1)] with x(0) = 0,
+    # and the states of one scale's pools.
+    design = np.zeros((u.shape[1], k + 1 + cfg.n_max))
+    design[:, :k] = u.T
+    design[:, k] = 1.0
+    design[1:, k + 1 : k + 1 + n0] = states[:, :-1].T
     work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max))
-    scratch = np.empty((cfg.g_max, u.shape[1]))
     ladder = _r_ladder(cfg.r_schedule)
     counters = report.counters = {"pools_screened": 0}
     while resid > cfg.epsilon and res.n_nodes < cfg.n_max:
@@ -361,24 +362,16 @@ def train_sub_reservoir(
         for lam in cfg.lambda_grid:
             pools = [_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]
             counters["pools_screened"] += len(pools)
-            cands = _candidate_states(res, pools, u, states, work, scratch)
-            keys, rungs = [], []
-            for cand in cands:
-                # Score the memory layout of a pool rolled out alone: on a
-                # strided view of a narrow pool, BLAS can sum <e, g> in
-                # another order and move xi in the last bits.
-                alone = scratch.reshape(cand.shape[::-1])
-                alone[...] = cand.T
-                proj = _projections(resid_mat, alone.T[:, washout:])
-                keys.append(proj.sum(axis=1))
-                rungs.append(_ladder_rungs(resid_mat, proj, ladder, n))
-            keys, rungs = np.concatenate(keys), np.concatenate(rungs)
+            cands = _candidate_states(res, pools, design, work)
+            proj = _projections(resid_mat, cands[washout:].T)
+            keys = proj.sum(axis=1)
+            rungs = _ladder_rungs(resid_mat, proj, ladder, n)
             passing = np.flatnonzero(rungs < len(ladder))
             # a stable sort: of equal keys, the earlier draw stays first
             for idx in passing[np.argsort(-keys[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]:
                 pool, i = divmod(idx, cfg.g_max)
                 w_in_c, w_r_c, b_c = pools[pool]
-                state = cands[pool][i].copy()
+                state = cands[:, idx].copy()
                 # confirm the closed form's rung; rounding at a rung's edge may lift it
                 for r in ladder[rungs[idx]:]:
                     mu = (1.0 - r) / (n + 1)
@@ -407,6 +400,7 @@ def train_sub_reservoir(
         res = replace(grown, w_out=w_out)
         smax = max_singular_value(res.w_r)
         states = new_states
+        design[1:, k + 1 + n] = state[:-1]
         resid_mat, resid = new_resid_mat, new_resid
         report.residual_trace.append(resid)
         report.accepted_lambda.append(lam)

@@ -149,6 +149,15 @@ class TestTrainPredictEval:
                    "--washout", "40"])
         assert out == 0
 
+    def test_n_max_below_initial_size_caps_every_rule(self, data_dir, tmp_path):
+        model_path, report_path = tmp_path / "model.json", tmp_path / "report.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--q", "2",
+                    "--sc-n-max", "3", "--sc-g-max", "20", "--washout", "40",
+                    "--out-model", str(model_path), "--out-report", str(report_path)]) == 0
+        rules = json.loads(report_path.read_text())["reports"]
+        assert [(r["n_nodes"], r["stop_reason"]) for r in rules] == [(3, "size-cap")] * 2
+        assert [res.n_nodes for res in load_model(model_path).sub_reservoirs] == [3, 3]
+
     def test_deterministic_model_files(self, data_dir, tmp_path):
         paths = []
         for tag in ("a", "b"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from frscn import (
     ScConfig,
+    SubReservoir,
     TimeSeriesDataset,
     TrainReport,
     evaluate_xi,
@@ -170,6 +171,14 @@ class TestTrainSubReservoir:
         assert rep.n_nodes == 5
         assert len(rep.residual_trace) == 1
 
+    def test_initial_size_above_n_max_starts_at_n_max(self, plant_train):
+        res, rep = train_sub_reservoir(plant_train, ScConfig(n_max=3), seed=0)
+        assert rep.stop_reason == "size-cap"
+        assert rep.n_nodes == res.n_nodes == 3
+        same, _ = train_sub_reservoir(plant_train, ScConfig(n_max=3, initial_size=3), seed=0)
+        for field in ("w_in", "w_r", "b", "w_out"):
+            assert np.array_equal(getattr(res, field), getattr(same, field))
+
     def test_monotone_trace_over_many_nodes(self, plant_train):
         res, rep = train_sub_reservoir(plant_train, ScConfig(n_max=30), seed=3)
         assert rep.n_nodes == 30
@@ -234,23 +243,67 @@ class TestTrainSubReservoir:
         assert TrainReport.from_dict(d).counters == {}
 
 
+def scalar_candidate_states(res, pool, inputs, states):
+    """T x G states of each candidate of pool, one scalar step at a time."""
+    w_in_c, w_r_c, b_c = pool
+    g = trainer.ACTIVATIONS[res.activation]
+    n = res.n_nodes
+    out = np.empty((inputs.shape[1], len(b_c)))
+    for i in range(len(b_c)):
+        x = 0.0
+        for t in range(inputs.shape[1]):
+            pre = w_in_c[i] @ inputs[:, t] + b_c[i] + w_r_c[i, n] * x
+            if t > 0:
+                pre += w_r_c[i, :n] @ states[:, t - 1]
+            with np.errstate(over="ignore"):
+                x = float(g(np.array(pre)))
+            out[t, i] = x
+    return out
+
+
+def design_of(inputs, states, width):
+    """The trainer's time-major design [u(t), 1, x(t-1)], padded with NaN to width."""
+    k, n = inputs.shape[0], states.shape[0]
+    design = np.full((inputs.shape[1], width), np.nan)
+    design[:, :k] = inputs.T
+    design[:, k] = 1.0
+    design[0, k + 1 : k + 1 + n] = 0.0
+    design[1:, k + 1 : k + 1 + n] = states[:, :-1].T
+    return design
+
+
 class TestBatchedScreening:
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
-    def test_pools_rolled_out_together_match_each_alone(self, plant_train, activation):
-        # g_max = 7 puts each pool at a different offset within a SIMD vector
-        cfg = ScConfig(n_max=8, g_max=7, activation=activation)
-        res, _ = train_sub_reservoir(plant_train, cfg, seed=4)
-        u = plant_train.inputs
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g_max=st.integers(1, 9),
+        n_pools=st.integers(1, 5),
+        n_nodes=st.integers(1, 6),
+        n_inputs=st.integers(1, 2),
+        lam=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+        budget=st.floats(0.01, 0.45),
+    )
+    def test_every_candidate_matches_a_scalar_recurrence(
+        self, activation, seed, g_max, n_pools, n_nodes, n_inputs, lam, budget
+    ):
+        rng = np.random.default_rng(seed)
+        n_steps = 40
+        w_r = np.tril(rng.uniform(-1, 1, (n_nodes, n_nodes)))
+        res = SubReservoir(w_in=rng.uniform(-1, 1, (n_nodes, n_inputs)),
+                           w_r=w_r * (0.8 / max(np.linalg.norm(w_r, 2), 1e-12)),
+                           b=rng.uniform(-1, 1, n_nodes), activation=activation)
+        u = rng.uniform(-1, 1, (n_inputs, n_steps))
         states = res.rollout(u)
-        rng = np.random.default_rng(0)
-        pools = [trainer._draw_pool(rng, cfg, lam, res.n_nodes, u.shape[0], 0.3) for lam in (0.1, 5.0, 100.0)]
-        scratch = np.empty((cfg.g_max, u.shape[1]))
-        together = trainer._candidate_states(res, pools, u, states, np.empty((u.shape[1], 3 * cfg.g_max)), scratch)
-        assert len(together) == 3
-        for pool, batched in zip(pools, together):
-            alone = trainer._candidate_states(res, [pool], u, states, np.empty((u.shape[1], cfg.g_max)), scratch)
-            assert batched.shape == (cfg.g_max, u.shape[1])
-            assert np.array_equal(batched, alone[0])
+        cfg = ScConfig(g_max=g_max, activation=activation)
+        pools = [trainer._draw_pool(rng, cfg, lam, n_nodes, n_inputs, budget) for _ in range(n_pools)]
+        # columns past K + 1 + n and past the pools' width must never be read
+        design = design_of(u, states, n_inputs + 1 + n_nodes + 3)
+        work = np.full((n_steps, 5 * g_max), np.nan)
+        cands = trainer._candidate_states(res, pools, design, work)
+        assert cands.shape == (n_steps, n_pools * g_max)
+        reference = np.hstack([scalar_candidate_states(res, pool, u, states) for pool in pools])
+        np.testing.assert_allclose(cands, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs, seed, stop_reason",
@@ -262,29 +315,77 @@ class TestBatchedScreening:
     )
     def test_same_growth_as_one_pool_at_a_time(self, plant_train, monkeypatch, kwargs, seed, stop_reason):
         cfg = ScConfig(**kwargs)
+        u = plant_train.inputs
 
-        def grow():
-            accepted = []
-            res, rep = train_sub_reservoir(plant_train, cfg, seed=seed,
-                                           accept_hook=lambda e, g, r, mu: accepted.append((r, mu)))
-            return res, rep, accepted
+        def one_pool_at_a_time(res, pools, design, work):
+            # each pool's own three pre-activation products, each pool in its own loop
+            g = trainer.ACTIVATIONS[res.activation]
+            n = res.n_nodes
+            k = res.n_inputs
+            out = []
+            for w_in_c, w_r_c, b_c in pools:
+                pre = w_in_c @ u + b_c[:, None]
+                pre[:, 1:] += w_r_c[:, :n] @ design[1:, k + 1 : k + 1 + n].T
+                x = np.zeros(len(b_c))
+                with np.errstate(over="ignore"):
+                    for t in range(pre.shape[1]):
+                        x = pre[:, t] = g(pre[:, t] + w_r_c[:, n] * x)
+                out.append(pre.T)
+            return np.hstack(out)
 
-        together = trainer._candidate_states
+        res_b, rep_b = train_sub_reservoir(plant_train, cfg, seed=seed)
+        monkeypatch.setattr(trainer, "_candidate_states", one_pool_at_a_time)
+        res_s, rep_s = train_sub_reservoir(plant_train, cfg, seed=seed)
 
-        def one_at_a_time(res, pools, inputs, state_cache, work, scratch):
-            # each pool in its own loop and workspace, as if screened alone
-            return [together(res, [pool], inputs, state_cache, np.empty((inputs.shape[1], cfg.g_max)), scratch)[0]
-                    for pool in pools]
+        assert rep_s.stop_reason == rep_b.stop_reason == stop_reason
+        assert rep_b.n_nodes == rep_s.n_nodes == res_b.n_nodes
+        assert rep_b.accepted_lambda == rep_s.accepted_lambda
+        assert rep_b.accepted_r == rep_s.accepted_r
+        assert rep_b.counters == rep_s.counters
+        # the refit amplifies last-bit differences in the states, most over the
+        # near-collinear sigmoid states (2.3e-12 relative in this case)
+        np.testing.assert_allclose(rep_b.residual_trace, rep_s.residual_trace, rtol=1e-11, atol=0)
 
-        res_b, rep_b, hook_b = grow()
-        monkeypatch.setattr(trainer, "_candidate_states", one_at_a_time)
-        res_s, rep_s, hook_s = grow()
+    @pytest.mark.parametrize(
+        "kwargs, seed",
+        [
+            ({"n_max": 20}, 9),
+            ({"n_max": 20, "activation": "sigmoid"}, 3),
+            ({"n_max": 40, "g_max": 2, "lambda_grid": (0.1,)}, 1),
+            ({"n_max": 5, "initial_size": 5}, 0),
+        ],
+    )
+    def test_design_holds_the_committed_states(self, plant_train, monkeypatch, kwargs, seed):
+        cfg = ScConfig(**kwargs)
+        u = plant_train.inputs
+        k = u.shape[0]
+        fitted, designs = [], []
+        fit, screen = trainer.fit_readout, trainer._candidate_states
 
-        assert rep_s.stop_reason == stop_reason
-        for field in ("w_in", "w_r", "b", "w_out"):
-            assert np.array_equal(getattr(res_b, field), getattr(res_s, field))
-        assert hook_b == hook_s
-        assert rep_b.to_dict() == rep_s.to_dict()
+        def spy_fit(states, *args):
+            fitted.append(states.copy())
+            return fit(states, *args)
+
+        def spy_screen(res, pools, design, work):
+            designs.append((res.n_nodes, design.copy()))
+            return screen(res, pools, design, work)
+
+        monkeypatch.setattr(trainer, "fit_readout", spy_fit)
+        monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
+        res, rep = train_sub_reservoir(plant_train, cfg, seed=seed)
+        rollout = res.rollout(u)
+        # the last refit over the final node count is the committed one; a
+        # guard-rejected try has one node more
+        committed = [s for s in fitted if s.shape[0] == res.n_nodes][-1]
+        np.testing.assert_allclose(committed, rollout, rtol=0, atol=1e-12)
+        if cfg.initial_size == cfg.n_max:
+            assert designs == []
+        for n, design in designs:
+            assert design.shape == (u.shape[1], k + 1 + cfg.n_max)
+            np.testing.assert_array_equal(design[:, :k], u.T)
+            assert (design[:, k] == 1.0).all()
+            assert not design[0, k + 1 : k + 1 + n].any()
+            np.testing.assert_allclose(design[1:, k + 1 : k + 1 + n], rollout[:n, :-1].T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs, seed",
