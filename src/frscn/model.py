@@ -349,8 +349,9 @@ def train_frscn(
     fuzzy layer is the identity and the result is the plain recurrent
     stochastic configuration model. seed is the master seed: the FCM
     initialization and each rule's growth run under seeds derived from it.
-    The rules grow in parallel worker processes (growth.grow_rules), so the
-    model does not depend on the core count.
+    The rules grow in parallel in the process's pool of worker processes
+    (growth.grow_rules), started by the first call and kept until the process
+    exits, so the model does not depend on the core count.
     """
     # deferred: the package import that starts `python -m frscn.growth` must
     # not import growth itself, or the worker would run it a second time

@@ -41,10 +41,6 @@ class OnlineState:
     # D x D buffer the next H is written into; swapped with h on success
     _h_next: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def assert_spd(self):
-        """Cholesky-feasibility probe of the gain matrix."""
-        np.linalg.cholesky(self.h)
-
 
 def init_online(model: FrscnModel, a: float = OnlineState.a,
                 c: float = OnlineState.c) -> OnlineState:

@@ -155,16 +155,6 @@ class SubReservoir:
     def n_inputs(self) -> int:
         return self.w_in.shape[1]
 
-    @classmethod
-    def empty(cls, n_inputs: int, activation: str = "tanh", alpha: float = 0.9) -> "SubReservoir":
-        return cls(
-            w_in=np.zeros((0, n_inputs)),
-            w_r=np.zeros((0, 0)),
-            b=np.zeros(0),
-            activation=activation,
-            alpha=alpha,
-        )
-
     def grow(self, w_in_row: np.ndarray, w_r_row: np.ndarray, b_new: float) -> "SubReservoir":
         """Append one node; existing rows are copied bit for bit.
 
@@ -199,27 +189,3 @@ class SubReservoir:
     def rollout(self, inputs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """State matrix N x n from x(n) = g(W_in u(n) + W_r x(n-1) + b), x(0) = 0."""
         return run_recurrence(self.w_in, self.w_r, self.b, self.activation, inputs, x0)
-
-    def readout(self, states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """y(n) = W_out [x(n); u(n)] columnwise."""
-        if self.w_out is None:
-            raise ValueError("readout weights not fitted")
-        u = np.atleast_2d(np.asarray(inputs, dtype=float))
-        design = np.vstack([states, u])
-        if self.w_out.shape[1] != design.shape[0]:
-            raise ValueError(
-                f"readout expects {self.w_out.shape[1]} features, design has {design.shape[0]}"
-            )
-        return self.w_out @ design
-
-    def echo_state_gap(
-        self, inputs: np.ndarray, x0_a: np.ndarray, x0_b: np.ndarray
-    ) -> np.ndarray:
-        """Per-step distance between two rollouts that differ only in x(0).
-
-        Meaningful as a contraction probe only after rescaling (sigma_max < 1);
-        callers may also use it as a negative control on unscaled reservoirs.
-        """
-        sa = self.rollout(inputs, x0=x0_a)
-        sb = self.rollout(inputs, x0=x0_b)
-        return np.linalg.norm(sa - sb, axis=0)

@@ -112,10 +112,6 @@ class TrainReport:
     guard_rejections: int = 0
     counters: dict = field(default_factory=dict)
 
-    def is_monotone(self, slack: float = 1e-10) -> bool:
-        t = self.residual_trace
-        return all(t[i + 1] <= t[i] + slack for i in range(len(t) - 1))
-
     def to_dict(self) -> dict:
         return {
             "residual_trace": [float(v) for v in self.residual_trace],
@@ -129,10 +125,6 @@ class TrainReport:
             "guard_rejections": self.guard_rejections,
             "counters": dict(self.counters),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainReport":
-        return cls(**d)
 
 
 def evaluate_xi(residual: np.ndarray, candidate_states: np.ndarray, r: float, mu: float):
@@ -157,10 +149,11 @@ def evaluate_xi(residual: np.ndarray, candidate_states: np.ndarray, r: float, mu
     return xi.sum(axis=1), xi
 
 
-def _projections(e: np.ndarray, candidate_states) -> np.ndarray:
-    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0."""
+def _projections(e: np.ndarray, candidate_states, gg=None) -> np.ndarray:
+    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0.
+    gg, the candidates' <g, g>, is summed here when not given."""
     s = np.atleast_2d(np.asarray(candidate_states, dtype=float))
-    gg = (s * s).sum(axis=1)
+    gg = (s * s).sum(axis=1) if gg is None else gg
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = (s @ e.T) ** 2 / gg[:, None]
     proj[gg <= 0.0] = -np.inf
@@ -363,7 +356,8 @@ def train_sub_reservoir(
             pools = [_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]
             counters["pools_screened"] += len(pools)
             cands = _candidate_states(res, pools, design, work)
-            proj = _projections(resid_mat, cands[washout:].T)
+            s = cands[washout:].T  # einsum: one pass for <g, g>; evaluate_xi keeps its own sum
+            proj = _projections(resid_mat, s, np.einsum("ij,ij->i", s, s))
             keys = proj.sum(axis=1)
             rungs = _ladder_rungs(resid_mat, proj, ladder, n)
             passing = np.flatnonzero(rungs < len(ladder))

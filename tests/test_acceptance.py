@@ -25,6 +25,7 @@ from frscn.evaluation import run_trials
 from frscn.fuzzy import FuzzyRuleBank, fire_strength_matrix
 from frscn.online import OnlineState, online_step
 from frscn.dataset import plant_response
+from support import echo_state_gap
 
 N_TRIALS = 10
 N_MAX = 50  # criterion 1 allows any reservoir size up to 100
@@ -160,7 +161,7 @@ def test_criterion_05_echo_state_contraction():
         u = rng.uniform(-1, 1, (1, 200))
         x0_a = rng.normal(size=n)
         x0_b = rng.normal(size=n)
-        gap = res.echo_state_gap(u, x0_a, x0_b)
+        gap = echo_state_gap(res, u, x0_a, x0_b)
         worst_ratio = max(worst_ratio, gap[-1] / np.linalg.norm(x0_a - x0_b))
     ok = worst_sigma < 1.0 and worst_ratio < 1e-6
     print(f"\nACCEPTANCE 5 {'PASS' if ok else 'FAIL'}: "

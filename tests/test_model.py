@@ -27,6 +27,7 @@ from frscn import (
     train_frscn,
 )
 from frscn.model import PREDICT_CHUNK, feature_chunks, train_model
+from support import is_monotone, readout
 
 
 def identity_stats(k, l_dims):
@@ -89,7 +90,7 @@ class TestPredict:
         model = random_model(rng, q=1)
         inputs = rng.normal(size=(2, 25))
         res = model.sub_reservoirs[0]
-        expect = res.readout(res.rollout(inputs), inputs)
+        expect = readout(res, res.rollout(inputs), inputs)
         assert np.array_equal(predict(model, inputs), expect)
         assert fire_strengths(model.rule_bank, inputs[:, 0]).tolist() == [1.0]
 
@@ -151,7 +152,7 @@ def per_rule_predict(model, inputs):
     """Reference: one SubReservoir.rollout per rule over the whole sequence."""
     u = model.normalization.apply_inputs(inputs)
     phi = fire_strength_matrix(model.rule_bank, u)
-    y = sum(p[None, :] * res.readout(res.rollout(u), u)
+    y = sum(p[None, :] * readout(res, res.rollout(u), u)
             for p, res in zip(phi, model.sub_reservoirs))
     return model.normalization.invert_targets(y)
 
@@ -289,7 +290,7 @@ class TestTrainFrscn:
         from frscn import nrmse
         val = nrmse(predict(model, plant_train.inputs), plant_train.targets, plant_train.washout)
         assert np.isfinite(val) and val < 1.0
-        assert all(rep.is_monotone() for rep in reports)
+        assert all(is_monotone(rep) for rep in reports)
         assert model.n_rules == 2
 
     def test_deterministic(self, plant_train):
@@ -335,7 +336,7 @@ class TestTrainFesn:
         res = model.sub_reservoirs[0]
         ds_norm = model.normalization.apply_inputs(inputs)
         expect = model.normalization.invert_targets(
-            res.readout(res.rollout(ds_norm), ds_norm)
+            readout(res, res.rollout(ds_norm), ds_norm)
         )
         assert np.abs(predict(model, inputs) - expect).max() < 1e-12
 

@@ -102,7 +102,7 @@ class TestOnlineStep:
         st = fresh_state(4, 1)
         for _ in range(100):
             online_step(st, rng.normal(size=4), rng.normal(size=1))
-        st.assert_spd()
+        np.linalg.cholesky(st.h)  # H stays positive definite
 
     def test_non_finite_rejected_state_unchanged(self):
         st = fresh_state(2, 1)
@@ -232,7 +232,7 @@ class TestBlockUpdate:
             _, e_s = online_step(st, g, t)
             assert e_s is not None
             n += b
-        st.assert_spd()
+        np.linalg.cholesky(st.h)  # H stays positive definite
         assert np.isfinite(st.theta).all()
         assert np.isfinite(st.h).all()
 
@@ -371,7 +371,7 @@ class TestRunOnline:
         n_post = train.n_samples - train.washout
         assert steps.tolist() == [n for n in range(1, n_post + 1) if n not in missing]
         assert np.isfinite(trace).all()
-        st.assert_spd()
+        np.linalg.cholesky(st.h)  # H stays positive definite
 
     def test_dimension_mismatch(self, small_model):
         train, model = small_model

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frscn import SubReservoir, max_singular_value, rescale_triangular, spectral_radius
+from support import echo_state_gap, empty_reservoir, readout
 
 
 def random_triangular(rng, n, density=0.3, scale=1.0):
@@ -13,7 +14,7 @@ def random_triangular(rng, n, density=0.3, scale=1.0):
 
 class TestGrow:
     def test_base_case_from_empty(self):
-        res = SubReservoir.empty(n_inputs=2)
+        res = empty_reservoir(2)
         grown = res.grow([0.3, -0.2], [0.7], 0.1)
         assert grown.n_nodes == 1
         assert grown.w_r.tolist() == [[0.7]]
@@ -22,7 +23,7 @@ class TestGrow:
 
     def test_upper_triangle_stays_zero(self):
         rng = np.random.default_rng(0)
-        res = SubReservoir.empty(n_inputs=1)
+        res = empty_reservoir(1)
         for n in range(6):
             res = res.grow(rng.normal(size=1), rng.normal(size=n + 1), rng.normal())
         assert np.all(np.triu(res.w_r, 1) == 0.0)
@@ -37,7 +38,7 @@ class TestGrow:
         assert np.array_equal(grown.b[:3], res.b)
 
     def test_wrong_row_length(self):
-        res = SubReservoir.empty(n_inputs=1).grow([1.0], [0.5], 0.0)
+        res = empty_reservoir(1).grow([1.0], [0.5], 0.0)
         with pytest.raises(ValueError):
             res.grow([1.0], [0.1, 0.2, 0.3], 0.0)  # needs N+1 = 2 entries
 
@@ -181,7 +182,7 @@ class TestReadout:
         res = SubReservoir(w_in=np.zeros((2, 1)), w_r=np.zeros((2, 2)), b=np.zeros(2),
                            w_out=np.zeros((1, 3)))
         states = res.rollout(np.ones((1, 5)))
-        assert np.all(res.readout(states, np.ones((1, 5))) == 0.0)
+        assert np.all(readout(res, states, np.ones((1, 5))) == 0.0)
 
     def test_input_selector(self):
         # unit readout row picking the second input slot reproduces u_2
@@ -189,7 +190,7 @@ class TestReadout:
                            w_out=np.array([[0.0, 0.0, 0.0, 1.0]]))
         rng = np.random.default_rng(8)
         u = rng.normal(size=(2, 9))
-        out = res.readout(res.rollout(u), u)
+        out = readout(res, res.rollout(u), u)
         assert np.array_equal(out[0], u[1])
 
     def test_matches_per_sample_loop(self):
@@ -198,7 +199,7 @@ class TestReadout:
                            b=rng.normal(size=3), w_out=rng.normal(size=(2, 5)))
         u = rng.normal(size=(2, 12))
         states = res.rollout(u)
-        out = res.readout(states, u)
+        out = readout(res, states, u)
         for t in range(12):
             expect = res.w_out @ np.concatenate([states[:, t], u[:, t]])
             assert np.abs(out[:, t] - expect).max() < 1e-14
@@ -207,7 +208,7 @@ class TestReadout:
         res = SubReservoir(w_in=np.zeros((2, 1)), w_r=np.zeros((2, 2)), b=np.zeros(2),
                            w_out=np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            res.readout(np.zeros((4, 5)), np.zeros((1, 5)))
+            readout(res, np.zeros((4, 5)), np.zeros((1, 5)))
 
 
 class TestEchoStateGap:
@@ -217,7 +218,7 @@ class TestEchoStateGap:
                            b=rng.normal(size=3))
         u = rng.uniform(-1, 1, (1, 40))
         x0 = rng.normal(size=3)
-        gap = res.echo_state_gap(u, x0, x0)
+        gap = echo_state_gap(res, u, x0, x0)
         assert np.all(gap == 0.0)
 
     def test_rescaled_reservoir_contracts(self):
@@ -232,7 +233,7 @@ class TestEchoStateGap:
             u = rng.uniform(-1, 1, (1, 200))
             x0_a = rng.normal(size=n)
             x0_b = rng.normal(size=n)
-            gap = res.echo_state_gap(u, x0_a, x0_b)
+            gap = echo_state_gap(res, u, x0_a, x0_b)
             initial = np.linalg.norm(x0_a - x0_b)
             assert gap[-1] < 1e-6 * initial
 
@@ -247,7 +248,7 @@ class TestEchoStateGap:
         u = rng.uniform(-1, 1, (1, 60))
         x0_a = rng.normal(size=5)
         x0_b = rng.normal(size=5)
-        gap = res.echo_state_gap(u, x0_a, x0_b)
+        gap = echo_state_gap(res, u, x0_a, x0_b)
         initial = np.linalg.norm(x0_a - x0_b)
         for n, g in enumerate(gap, start=1):
             assert g <= 1.1 * (smax**n) * initial
@@ -256,5 +257,5 @@ class TestEchoStateGap:
         # sigma_max = 3: two starts settle on opposite tanh fixed points, no contraction
         res = SubReservoir(w_in=[[0.0]], w_r=[[3.0]], b=[0.0])
         u = np.zeros((1, 200))
-        gap = res.echo_state_gap(u, np.array([1.0]), np.array([-1.0]))
+        gap = echo_state_gap(res, u, np.array([1.0]), np.array([-1.0]))
         assert gap[-1] > 1.9  # fixed points near +-0.995

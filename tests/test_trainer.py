@@ -14,6 +14,7 @@ from frscn import (
     train_sub_reservoir,
 )
 from frscn import trainer
+from support import readout
 
 
 class TestEvaluateXi:
@@ -205,7 +206,7 @@ class TestTrainSubReservoir:
         res, rep = train_sub_reservoir(plant_train, ScConfig(n_max=20), seed=5)
         states = res.rollout(plant_train.inputs)
         w = plant_train.washout
-        e = plant_train.targets[:, w:] - res.readout(states, plant_train.inputs)[:, w:]
+        e = plant_train.targets[:, w:] - readout(res, states, plant_train.inputs)[:, w:]
         assert np.linalg.norm(e) == pytest.approx(rep.residual_trace[-1], rel=1e-9)
 
     def test_echo_state_bound_maintained(self, plant_train):
@@ -230,7 +231,7 @@ class TestTrainSubReservoir:
 
     def test_report_serialization_round_trip(self, plant_train):
         _, rep = train_sub_reservoir(plant_train, ScConfig(n_max=8), seed=2)
-        clone = TrainReport.from_dict(rep.to_dict())
+        clone = TrainReport(**rep.to_dict())
         assert clone.residual_trace == rep.residual_trace
         assert clone.stop_reason == rep.stop_reason
         assert clone.n_nodes == rep.n_nodes
@@ -238,9 +239,9 @@ class TestTrainSubReservoir:
     def test_report_without_counters_still_loads(self, plant_train):
         _, rep = train_sub_reservoir(plant_train, ScConfig(n_max=8), seed=2)
         d = rep.to_dict()
-        assert TrainReport.from_dict(d).counters == rep.counters
+        assert TrainReport(**d).counters == rep.counters
         del d["counters"]  # reports written before the counters existed
-        assert TrainReport.from_dict(d).counters == {}
+        assert TrainReport(**d).counters == {}
 
 
 def scalar_candidate_states(res, pool, inputs, states):
