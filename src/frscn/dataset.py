@@ -171,7 +171,7 @@ def load_csv(
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [row for row in reader if "".join(row).strip()]
 
     col_index = {h: i for i, h in enumerate(header)}
     needed = list(input_columns) + list(target_columns) + [c for c, _ in shifts]
@@ -181,16 +181,16 @@ def load_csv(
 
     def parse_column(col: str) -> np.ndarray:
         idx = col_index[col]
-        out = np.empty(len(rows))
-        for r, row in enumerate(rows):
-            try:
-                out[r] = float(row[idx])
-            except (ValueError, IndexError):
-                cell = row[idx] if idx < len(row) else "<missing>"
-                raise CsvParseError(
-                    f"{path}: row {_file_line(path, r)}, column {col!r}: cannot parse {cell!r}"
-                ) from None
-        return out
+        try:
+            return np.array([float(row[idx]) for row in rows])
+        except (ValueError, IndexError):
+            for r, row in enumerate(rows):  # find the cell that failed, for the message
+                try:
+                    float(row[idx])
+                except (ValueError, IndexError):
+                    cell = row[idx] if idx < len(row) else "<missing>"
+                    raise CsvParseError(f"{path}: row {_file_line(path, r)}, column {col!r}: "
+                                        f"cannot parse {cell!r}") from None
 
     columns = {col: parse_column(col) for col in set(needed)}
     max_lag = max((lag for _, lag in shifts), default=0)
@@ -219,9 +219,11 @@ def write_series_csv(path, header: list, columns: list):
     """A header row, then one row per position of the columns, which hold
     Python ints and floats (e.g. from ndarray.tolist()); floats are written at
     full precision by repr, with the csv module's CRLF line ends."""
+    body = "\r\n".join(map(",".join, zip(*[map(repr, c) for c in columns])))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
+        if body:
+            fh.write(body + "\r\n")
 
 
 class AffineMap:

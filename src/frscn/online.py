@@ -114,14 +114,15 @@ def run_online(model: FrscnModel, st: OnlineState, ds: TimeSeriesDataset):
 
     Sub-reservoir states evolve over every sample, but updates (and the error
     trace) start after the washout. Only Theta adapts, so G is formed from
-    predict's chunked rollout. Samples with non-finite features or targets are
-    skipped and counted in st.skipped; the rest are fed to online_step
-    _ONLINE_BLOCK at a time. A rejected block is replayed one sample at a
-    time, and the first sample whose update is rejected raises ValueError
-    naming it. On completion the adapted Theta blocks are written back into a
-    copy of the model's per-rule readouts. Returns (updated model, error trace
-    L x n_updates, the 1-based post-washout sample number of each update), so
-    a skipped sample shows as a gap in the sample numbers.
+    feature_chunks' serial (one-segment) rollout. Samples with non-finite
+    features or targets are skipped and counted in st.skipped; the rest are
+    fed to online_step _ONLINE_BLOCK at a time. A rejected block is replayed
+    one sample at a time, and the first sample whose update is rejected
+    raises ValueError naming it. On completion the adapted Theta blocks are
+    written back into a copy of the model's per-rule readouts. Returns
+    (updated model, error trace L x n_updates, the 1-based post-washout
+    sample number of each update), so a skipped sample shows as a gap in the
+    sample numbers.
     """
     if ds.n_inputs != model.n_inputs or ds.n_outputs != model.n_outputs:
         raise ValueError(f"model is {model.n_inputs} in / {model.n_outputs} out, "

@@ -28,6 +28,9 @@ def quiet_sigmoid(x, out=None):
 
 
 ACTIVATIONS = {"tanh": np.tanh, "sigmoid": sigmoid}
+# Lipschitz constant of each activation: with it, a reservoir's state map
+# contracts by at most Lip(g) sigma_max(W_r) per step.
+LIPSCHITZ = {"tanh": 1.0, "sigmoid": 0.25}
 
 
 def spectral_radius(w_r: np.ndarray) -> float:
@@ -70,33 +73,27 @@ def rescale_triangular(w_r: np.ndarray, alpha: float) -> tuple[np.ndarray, float
     return w_r * factor, factor
 
 
-def run_recurrence(w_in, w_r, b, activation: str, inputs, x0=None) -> np.ndarray:
-    """States of x(n) = g(W_in u(n) + W_r x(n-1) + b) over the columns of inputs.
+def run_recurrence(w_r, activation: str, pre: np.ndarray, x0=None) -> np.ndarray:
+    """States of x(n) = g(pre(n) + W_r x(n-1)), from pre(n) = W_in u(n) + b.
 
-    Either one reservoir (w_in N x K, w_r N x N, b N; states N x n) or Q of
-    them stacked on a leading rule axis (Q x N x K, Q x N x N, Q x N; states
-    Q x N x n), advanced together by broadcasting matmul. x0 has the shape of
-    b and defaults to zeros. Each step's states overwrite its column of the
-    pre-activations.
+    pre is time-major: T x N x B holds B runs of one reservoir (w_r N x N)
+    side by side on the trailing axis, and T x Q x N x B those of Q
+    reservoirs stacked on a leading rule axis (w_r Q x N x N), advanced
+    together by broadcasting matmul. Each step's states overwrite its row of
+    pre, which is returned: a row is stepped whole, with no strided copies.
+    x0 is the state before pre[0], shaped like a row; it defaults to zeros.
     """
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
     g = ACTIVATIONS[activation]
-    states = w_in @ u
-    states += b[..., None]
-    shape = b.shape + (1,)
-    # the states are stepped in one contiguous buffer: a column of states is
-    # strided, and elementwise work on it costs twice as much
-    x = np.zeros(shape) if x0 is None else np.array(x0, dtype=float).reshape(shape)
-    feedback = np.empty(shape)
+    x = np.zeros_like(pre[0]) if x0 is None else x0
+    feedback = np.empty_like(pre[0])
     with np.errstate(over="ignore"):  # sigmoid's exp(-x) overflows to a 0 state
-        for t in range(u.shape[1]):
-            column = states[..., t : t + 1]
-            column[...] = recurrence_step(w_r, g, x, column, feedback, x)
-    return states
+        for row in pre:
+            x = recurrence_step(w_r, g, x, row, feedback, row)
+    return pre
 
 
 def recurrence_step(w_r, g, x, pre, feedback, out) -> np.ndarray:
-    """One step of run_recurrence: out = g(pre + W_r x), all N x 1 (or Q x N x 1).
+    """One step of run_recurrence: out = g(pre + W_r x), all N x B (or Q x N x B).
 
     feedback is scratch for W_r x, written before out, so out may be pre or x.
     """
@@ -188,4 +185,8 @@ class SubReservoir:
 
     def rollout(self, inputs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """State matrix N x n from x(n) = g(W_in u(n) + W_r x(n-1) + b), x(0) = 0."""
-        return run_recurrence(self.w_in, self.w_r, self.b, self.activation, inputs, x0)
+        pre = self.w_in @ np.atleast_2d(np.asarray(inputs, dtype=float))
+        pre += self.b[:, None]
+        x0 = None if x0 is None else np.array(x0, dtype=float).reshape(-1, 1)
+        pre = np.ascontiguousarray(pre.T)[..., None]  # time-major, T x N x 1
+        return np.ascontiguousarray(run_recurrence(self.w_r, self.activation, pre, x0)[..., 0].T)

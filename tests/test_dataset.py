@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 import tempfile
@@ -20,7 +22,7 @@ from frscn import (
     load_csv,
     plant_response,
 )
-from frscn.dataset import benchmark_test_input
+from frscn.dataset import benchmark_test_input, write_series_csv
 
 
 class TestPlantResponse:
@@ -256,6 +258,25 @@ class TestLoadCsvProperties:
         rows = [ln.split(",") for ln in lines if ln.strip(" ,")]
         assert ds.n_samples == len(rows)
         assert ds.inputs.tolist() == [[float(r[0]) for r in rows], [float(r[1]) for r in rows]]
+
+
+class TestWriteSeriesCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(columns=st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=3)))
+    def test_bytes_are_a_row_by_row_csv_writer(self, columns):
+        columns = [list(range(1, len(columns[0]) + 1))] + columns
+        header = ["n"] + [f"y{i}" for i in range(len(columns) - 1)]
+        want = io.StringIO(newline="")
+        csv.writer(want).writerow(header)
+        want.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_series_csv(path, header, columns)
+            assert path.read_bytes() == want.getvalue().encode()
+            values = np.array(columns[1:])
+            if values.shape[1] >= 2 and np.isfinite(values).all():  # a loadable dataset
+                assert np.array_equal(load_csv(path, header[1:], header[1:]).inputs, values)
 
 
 class TestNormalization:

@@ -26,8 +26,8 @@ from frscn import (
     train_fesn,
     train_frscn,
 )
-from frscn.model import PREDICT_CHUNK, feature_chunks, train_model
-from support import is_monotone, readout
+from frscn.model import PREDICT_CHUNK, feature_chunks, segment_plan, train_model
+from support import chunked_predict, is_monotone, readout
 
 
 def identity_stats(k, l_dims):
@@ -282,6 +282,93 @@ class TestRuleStackedServing:
         for arr in (model.w_in, model.w_r, model.b, model.w_out):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+
+def contracting_model(rng, sizes, activation, smax):
+    """ragged_model with every feedback matrix scaled to sigma_max = smax."""
+    model = ragged_model(rng, sizes, activation)
+    return replace(model, sub_reservoirs=tuple(
+        replace(res, w_r=res.w_r * (smax / np.linalg.norm(res.w_r, 2)))
+        for res in model.sub_reservoirs))
+
+
+def session_steps(model, inputs):
+    session = model.session()
+    return np.column_stack([session.step(inputs[:, n]) for n in range(inputs.shape[1])])
+
+
+class TestSegmentedPredict:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        activation=st.sampled_from(["tanh", "sigmoid"]),
+        smax=st.floats(0.05, 0.6),
+        extra=st.integers(0, 3 * PREDICT_CHUNK),
+    )
+    def test_segments_agree_with_session_steps(self, seed, sizes, activation, smax, extra):
+        rng = np.random.default_rng(seed)
+        model = contracting_model(rng, sizes, activation, smax)
+        warmup, _ = segment_plan(model, 10**6)
+        n_steps = 2 * max(4 * warmup, PREDICT_CHUNK) + extra
+        assert segment_plan(model, n_steps)[1] >= 2
+        inputs = rng.uniform(-4, 3, (2, n_steps))
+        scale = 1.0 + np.abs(inputs).max(axis=0)
+        assert np.all(np.abs(predict(model, inputs) - session_steps(model, inputs))
+                      <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("activation, w_r", [
+        ("tanh", [[0.5, 0.0], [1.2, 0.5]]),  # spectral radius 0.5, sigma_max 1.2
+        ("sigmoid", [[0.9, 0.0], [4.0, -0.2]]),  # sigma_max / 4 > 1
+    ])
+    def test_rate_at_or_above_one_takes_one_segment(self, activation, w_r):
+        rng = np.random.default_rng(21)
+        model = ragged_model(rng, (2, 2), activation)
+        model = replace(model, sub_reservoirs=(
+            model.sub_reservoirs[0], replace(model.sub_reservoirs[1], w_r=np.array(w_r))))
+        assert segment_plan(model, 10**6) == (0, 1)
+        inputs = rng.uniform(-3, 2, (2, 2 * PREDICT_CHUNK + 11))
+        assert np.array_equal(predict(model, inputs), chunked_predict(model, inputs))
+
+    @pytest.mark.parametrize("sizes, activation, smax, n_steps", [
+        ((5, 5, 5), "tanh", 0.9, 2 * PREDICT_CHUNK + PREDICT_CHUNK // 2 + 7),
+        ((3, 7, 4), "tanh", 0.5, 1),
+        ((3, 7, 4), "tanh", 0.5, PREDICT_CHUNK),
+        ((3, 7, 4), "tanh", 0.05, 2 * PREDICT_CHUNK - 1),  # 4k < one chunk
+        ((3, 7, 4), "sigmoid", 3.9, 3 * PREDICT_CHUNK - 1),  # rate 0.975
+        ((1,), "tanh", 0.3, PREDICT_CHUNK + 1),
+    ])
+    def test_one_segment_is_bitwise_the_serial_rollout(self, sizes, activation, smax, n_steps):
+        rng = np.random.default_rng(22)
+        model = contracting_model(rng, sizes, activation, smax)
+        warmup, _ = segment_plan(model, 10**6)
+        n_steps = min(n_steps, 2 * max(4 * warmup, PREDICT_CHUNK) - 1)
+        assert segment_plan(model, n_steps) == (0, 1)
+        inputs = rng.uniform(-3, 2, (2, n_steps))
+        assert np.array_equal(predict(model, inputs), chunked_predict(model, inputs))
+
+    def test_input_error_in_a_warmup_window_names_the_first_bad_sample(self):
+        rng = np.random.default_rng(23)
+        model = contracting_model(rng, (3, 7, 4), "tanh", 0.5)
+        n_steps = 4 * PREDICT_CHUNK
+        warmup, segments = segment_plan(model, n_steps)
+        assert segments >= 2
+        # the second segment starts warming up at length - warmup, and the
+        # sample there is the first segment's until the warm-up ends
+        length = -(-(n_steps + (segments - 1) * warmup) // segments)
+        first_bad = length - warmup + warmup // 2
+        inputs = rng.uniform(-3, 2, (2, n_steps))
+        inputs[0, first_bad] = np.nan
+        inputs[1, n_steps - 5] = np.inf
+        with pytest.raises(InputRangeError, match=f"input sample {first_bad + 1} "):
+            predict(model, inputs)
+
+    def test_a_benchmark_shaped_model_agrees_with_the_session_at_every_step(self):
+        train = generate_plant_sequence(2000, "train-random", seed=3)
+        model = train_fesn(train, q=5, esn_cfg=EsnConfig(n_nodes=50), seed=3)
+        test = generate_plant_sequence(20000, "train-random", seed=4)
+        assert segment_plan(model, test.n_samples)[1] >= 2
+        assert np.abs(predict(model, test.inputs) - session_steps(model, test.inputs)).max() <= 1e-12
 
 
 class TestTrainFrscn:
