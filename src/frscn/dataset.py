@@ -28,7 +28,6 @@ class TimeSeriesDataset:
     inputs: np.ndarray
     targets: np.ndarray
     washout: int = 0
-    name: str = ""
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -109,7 +108,6 @@ def generate_plant_sequence(
     mode: str = "train-random",
     seed: int = 0,
     washout: int = 100,
-    name: str = "",
 ) -> TimeSeriesDataset:
     """Generate the synthetic identification benchmark.
 
@@ -133,9 +131,7 @@ def generate_plant_sequence(
     y = plant_response(u)
     inputs = np.vstack([y[:n_samples], u])
     targets = y[1 : n_samples + 1][None, :]
-    if not name:
-        name = f"plant-{mode}-{seed}"
-    return TimeSeriesDataset(inputs=inputs, targets=targets, washout=washout, name=name)
+    return TimeSeriesDataset(inputs=inputs, targets=targets, washout=washout)
 
 
 def add_gaussian_noise(ds: TimeSeriesDataset, sigma: float, seed: int = 0) -> TimeSeriesDataset:
@@ -144,7 +140,7 @@ def add_gaussian_noise(ds: TimeSeriesDataset, sigma: float, seed: int = 0) -> Ti
         raise ValueError("sigma must be non-negative")
     rng = np.random.default_rng(seed)
     noisy = ds.targets + rng.normal(0.0, sigma, ds.targets.shape)
-    return replace(ds, targets=noisy, name=ds.name + "+noise" if ds.name else "noisy")
+    return replace(ds, targets=noisy)
 
 
 def load_csv(
@@ -153,7 +149,6 @@ def load_csv(
     target_columns: list[str],
     washout: int = 0,
     shifts: tuple = (),
-    name: str = "",
 ) -> TimeSeriesDataset:
     """Load a time series from a headered CSV, one row per time step.
 
@@ -211,19 +206,20 @@ def load_csv(
         inputs=np.vstack(input_rows),
         targets=np.vstack(target_rows),
         washout=washout,
-        name=name or str(path),
     )
 
 
 def write_series_csv(path, header: list, columns: list):
     """A header row, then one row per position of the columns, which hold
     Python ints and floats (e.g. from ndarray.tolist()); floats are written at
-    full precision by repr, with the csv module's CRLF line ends."""
-    body = "\r\n".join(map(",".join, zip(*[map(repr, c) for c in columns])))
+    full precision by repr, with the csv module's CRLF line ends. Rows are
+    formatted and written in blocks, so the text held at once does not grow
+    with the row count."""
+    lines = map(",".join, zip(*[map(repr, c) for c in columns]))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if body:
-            fh.write(body + "\r\n")
+        while block := list(islice(lines, 1024)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 class AffineMap:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +51,7 @@ class TrialResult:
     error: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_nrmse": self.train_nrmse,
-            "val_nrmse": self.val_nrmse,
-            "test_nrmse": self.test_nrmse,
-            "node_counts": list(self.node_counts),
-            "wall_time": self.wall_time,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -74,7 +66,7 @@ class TrialSummary:
     n_failed: int
 
     def to_dict(self) -> dict:
-        return vars(self).copy()
+        return asdict(self)
 
 
 def _summarize(results: list) -> TrialSummary:

@@ -1,9 +1,11 @@
 """Node-by-node growth of one sub-reservoir under the supervisory test.
 
 Each growth step screens a fixed number of random candidate pools at one
-weight scale, ranks every candidate by its xi score, and commits the best one
-that passes the xi inequality at some contraction level r of a fixed ladder
-(the best-of-pools rule of SC-III, Wang & Li 2017). The readout is refit
+weight scale as one stacked batch, ranks every candidate by its xi score, and
+commits the best one that passes the xi inequality at some contraction level
+r of a fixed ladder (the best-of-pools rule of SC-III, Wang & Li 2017). One
+table of evaluate_xi's scores, every candidate at every rung, decides which
+candidates pass, at which r, and the xi each reports. The readout is refit
 globally after every accepted node, so the residual trace is non-increasing.
 
 Echo-state control: instead of rescaling the whole feedback matrix after
@@ -18,7 +20,7 @@ product gives every candidate of a weight scale its pre-activations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,12 +30,12 @@ from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value
 # Residual comparisons tolerate a relative slack of a few ulps so that the
 # monotonicity guard is not tripped by benign rounding in the refit.
 _GUARD_RTOL = 1e-12
-# Candidate pools screened at a weight scale before the best candidate of all
-# of them is judged; the smallest count that passes tools/accuracy_gate.py.
-# Their pre-activations come from one product with the rule's design, and they
-# are rolled out together in one recurrence loop, whose cost is per-step
-# dispatch more than width; each pool adds g_max * n_steps floats to the
-# workspace.
+# Candidate pools drawn at a weight scale, in order, and stacked into one batch
+# whose best candidate is judged; the smallest count that passes
+# tools/accuracy_gate.py. The batch gets its pre-activations from one product
+# with the rule's design and is rolled out in one recurrence loop, whose cost
+# is per-step dispatch more than width; each pool adds g_max * n_steps floats
+# to the workspace.
 _POOLS_PER_SCALE = 5
 # Top-ranked passing candidates kept per weight scale and tried, in xi order,
 # against the residual guard before the scale is raised.
@@ -113,18 +115,7 @@ class TrainReport:
     counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "residual_trace": [float(v) for v in self.residual_trace],
-            "accepted_lambda": [float(v) for v in self.accepted_lambda],
-            "accepted_xi": [float(v) for v in self.accepted_xi],
-            "accepted_r": [float(v) for v in self.accepted_r],
-            "stop_reason": self.stop_reason,
-            "n_nodes": self.n_nodes,
-            "final_nrmse": float(self.final_nrmse),
-            "ridge_fallbacks": list(self.ridge_fallbacks),
-            "guard_rejections": self.guard_rejections,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
 
 def evaluate_xi(residual: np.ndarray, candidate_states: np.ndarray, r: float, mu: float):
@@ -140,20 +131,24 @@ def evaluate_xi(residual: np.ndarray, candidate_states: np.ndarray, r: float, mu
     candidate state fails the constraint by convention (xi = -inf) rather
     than raising.
     """
+    e = np.atleast_2d(np.asarray(residual, dtype=float))
+    xi = _xi(_projections(e, candidate_states), (e * e).sum(axis=1), r, mu)
+    return xi.sum(axis=1), xi
+
+
+def _xi(proj: np.ndarray, energy: np.ndarray, r: float, mu: float) -> np.ndarray:
+    """evaluate_xi's per-output scores from _projections and each output's <e_q, e_q>."""
     if not 0 < r < 1:
         raise ValueError("r must be in (0, 1)")
     if not 0 <= mu <= 1 - r:
         raise ValueError("mu must satisfy 0 <= mu <= 1 - r")
-    e = np.atleast_2d(np.asarray(residual, dtype=float))
-    xi = _projections(e, candidate_states) - (1.0 - mu - r) * (e * e).sum(axis=1)
-    return xi.sum(axis=1), xi
+    return proj - (1.0 - mu - r) * energy
 
 
-def _projections(e: np.ndarray, candidate_states, gg=None) -> np.ndarray:
-    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0.
-    gg, the candidates' <g, g>, is summed here when not given."""
+def _projections(e: np.ndarray, candidate_states) -> np.ndarray:
+    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0."""
     s = np.atleast_2d(np.asarray(candidate_states, dtype=float))
-    gg = (s * s).sum(axis=1) if gg is None else gg
+    gg = np.einsum("ij,ij->i", s, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = (s @ e.T) ** 2 / gg[:, None]
     proj[gg <= 0.0] = -np.inf
@@ -166,21 +161,18 @@ def _r_ladder(r_schedule: tuple) -> tuple:
     return r_schedule + tuple(r for r in (1.0 - 10.0**-k for k in range(5, 10)) if r > r_schedule[-1])
 
 
-def _ladder_rungs(e: np.ndarray, proj: np.ndarray, ladder: tuple, n_nodes: int) -> np.ndarray:
-    """Per candidate, the index of the smallest ladder r at which it passes the
-    xi test with mu = (1 - r)/(n_nodes + 1); len(ladder) where it passes at none.
+def _xi_table(e: np.ndarray, proj: np.ndarray, ladder: tuple, n_nodes: int):
+    """evaluate_xi at every rung r of the ladder, with mu = (1 - r)/(n_nodes + 1).
 
-    Closed form: candidate g passes at r iff (1 - r) N/(N + 1) <= min_q
-    <e_q, g>^2 / (<g, g> <e_q, e_q>), where an output with a zero residual
-    always passes. proj is _projections(e, candidates).
+    proj is _projections(e, candidates). Returns (xi sums, len(ladder) x G;
+    per candidate, the index of the smallest rung at which every output's xi
+    is >= 0, len(ladder) where there is none).
     """
     energy = (e * e).sum(axis=1)
-    live = energy > 0
-    cos2 = (proj[:, live] / energy[live]).min(axis=1, initial=np.inf)
-    cos2[np.isneginf(proj).any(axis=1)] = -np.inf  # a zero candidate never passes
-    thresholds = (1.0 - np.asarray(ladder)) * (n_nodes / (n_nodes + 1))
-    # thresholds fall along the ladder: count the rungs still above cos2
-    return (thresholds[None, :] > cos2[:, None]).sum(axis=1)
+    xi_q = np.stack([_xi(proj, energy, r, (1.0 - r) / (n_nodes + 1)) for r in ladder])
+    passes = xi_q.min(axis=2) >= 0.0
+    rungs = np.where(passes.any(axis=0), passes.argmax(axis=0), len(ladder))
+    return xi_q.sum(axis=2), rungs
 
 
 def fit_readout(
@@ -250,23 +242,23 @@ def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
     return w_in_c, w_r_c, b_c
 
 
-def _candidate_states(res, pools, design, work):
-    """States of every candidate of every pool: a T x (pools * G) view of work.
+def _candidate_states(w_in_c, w_r_c, b_c, activation, n_nodes, design, work):
+    """States of every candidate of a batch: a T x G view of work.
 
-    Column j * G + i holds candidate i of pool j. design is the rule's
-    time-major [u(t), 1, x(t-1)] (T x at least K + 1 + n), so one product
-    with the pools' stacked [w_in_c, b_c, w_r_c[:, :n]] gives every
-    candidate's pre-activations; the pools then advance together in one loop
-    over time. Exact under triangularity: a new node reads only the accepted
-    nodes' states plus its own previous state, so no full re-rollout is
-    needed during screening. The view is valid until the next call.
+    Column i holds candidate i, whose input, feedback (n_nodes + 1 wide, its
+    own weight last) and bias weights are row i of w_in_c, w_r_c and b_c.
+    design is the rule's time-major [u(t), 1, x(t-1)] (T x at least
+    K + 1 + n_nodes), so one product with [w_in_c, b_c, w_r_c[:, :n_nodes]]
+    gives every candidate's pre-activations; the candidates then advance
+    together in one loop over time. Exact under triangularity: a new node
+    reads only the accepted nodes' states plus its own previous state, so no
+    full re-rollout is needed during screening. The view is valid until the
+    next call.
     """
-    g = ACTIVATIONS[res.activation]
-    n = res.n_nodes
-    weights = np.vstack([np.column_stack([w_in_c, b_c, w_r_c[:, :n]])
-                         for w_in_c, w_r_c, b_c in pools])
+    g = ACTIVATIONS[activation]
+    weights = np.column_stack([w_in_c, b_c, w_r_c[:, :n_nodes]])
     out = np.matmul(design[:, :weights.shape[1]], weights.T, out=work[:, :weights.shape[0]])
-    self_w = np.concatenate([w_r_c[:, n] for _, w_r_c, _ in pools])
+    self_w = w_r_c[:, n_nodes].copy()  # contiguous: read at every step
     x = np.zeros(out.shape[1])
     buf = np.empty(out.shape[1])
     # each step overwrites its pre-activation row with the states it produces;
@@ -289,21 +281,23 @@ def train_sub_reservoir(
 
     Starts from min(initial_size, n_max) randomly assigned nodes at the
     smallest weight scale. Each further node tries the weight scales in
-    order. At a scale, _POOLS_PER_SCALE pools of g_max candidates are rolled
-    out and ranked by their xi sums, whose order does not depend on r. The top
-    _MAX_ACCEPT_TRIES candidates that pass the xi test at some rung of the
-    r ladder (_r_ladder) are tried in xi order, each at the smallest rung it
-    passes; the first whose global readout refit does not raise the residual
-    is accepted. The next scale is tried only when no candidate passes or
-    every try fails that guard. Growth stops at tolerance, at n_max, or when
-    every scale fails ("no-candidate"). Candidate feedback rows are
-    norm-capped up front so the grown matrix never exceeds the alpha
-    singular-value budget; the screened states are therefore exactly the
-    committed states and no re-rollout is needed.
+    order. At a scale, _POOLS_PER_SCALE pools of g_max candidates are drawn,
+    stacked into one batch, rolled out and ranked by their xi sums, whose
+    order does not depend on r. One table holds evaluate_xi's scores of the
+    batch at every rung of the r ladder (_r_ladder). The top
+    _MAX_ACCEPT_TRIES candidates that pass at some rung are tried in xi
+    order, each at the smallest rung it passes; the first whose global
+    readout refit does not raise the residual is accepted, with the r, mu and
+    xi of its rung in the table. The next scale is tried only when no
+    candidate passes or every try fails that guard. Growth stops at
+    tolerance, at n_max, or when every scale fails ("no-candidate").
+    Candidate feedback rows are norm-capped up front so the grown matrix
+    never exceeds the alpha singular-value budget; the screened states are
+    therefore exactly the committed states and no re-rollout is needed.
 
-    A scale's pools get their pre-activations from one product with the
+    A scale's batch gets its pre-activations from one product with the
     rule's design (T x K + 1 + n_max; each accepted node fills its next state
-    column) and are rolled out together in one recurrence loop.
+    column) and is rolled out in one recurrence loop.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, with the r and mu the candidate was accepted at, for
     instrumentation.
@@ -338,7 +332,7 @@ def train_sub_reservoir(
     report.residual_trace.append(resid)
 
     # Buffers reused by every node: the design [u(t), 1, x(t-1)] with x(0) = 0,
-    # and the states of one scale's pools.
+    # and the states of one scale's batch.
     design = np.zeros((u.shape[1], k + 1 + cfg.n_max))
     design[:, :k] = u.T
     design[:, k] = 1.0
@@ -353,28 +347,18 @@ def train_sub_reservoir(
         # The alpha/2 term stops any single node from hoarding the budget.
         budget = min(cfg.alpha / 2.0, np.sqrt(max(cfg.alpha**2 - smax**2, 0.0)))
         for lam in cfg.lambda_grid:
-            pools = [_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]
-            counters["pools_screened"] += len(pools)
-            cands = _candidate_states(res, pools, design, work)
-            s = cands[washout:].T  # einsum: one pass for <g, g>; evaluate_xi keeps its own sum
-            proj = _projections(resid_mat, s, np.einsum("ij,ij->i", s, s))
+            w_in_c, w_r_c, b_c = map(np.concatenate, zip(
+                *[_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]))
+            counters["pools_screened"] += _POOLS_PER_SCALE
+            cands = _candidate_states(w_in_c, w_r_c, b_c, cfg.activation, n, design, work)
+            proj = _projections(resid_mat, cands[washout:].T)
             keys = proj.sum(axis=1)
-            rungs = _ladder_rungs(resid_mat, proj, ladder, n)
+            xi_sums, rungs = _xi_table(resid_mat, proj, ladder, n)
             passing = np.flatnonzero(rungs < len(ladder))
             # a stable sort: of equal keys, the earlier draw stays first
             for idx in passing[np.argsort(-keys[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]:
-                pool, i = divmod(idx, cfg.g_max)
-                w_in_c, w_r_c, b_c = pools[pool]
                 state = cands[:, idx].copy()
-                # confirm the closed form's rung; rounding at a rung's edge may lift it
-                for r in ladder[rungs[idx]:]:
-                    mu = (1.0 - r) / (n + 1)
-                    xi, xi_q = evaluate_xi(resid_mat, state[washout:], r, mu)
-                    if xi_q.min() >= 0.0:
-                        break
-                else:
-                    continue
-                grown = res.grow(w_in_c[i], w_r_c[i], b_c[i])
+                grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
                 new_states = np.vstack([states, state])
                 w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
                 new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
@@ -387,6 +371,8 @@ def train_sub_reservoir(
         else:
             report.stop_reason = "no-candidate"
             break
+        r = ladder[rungs[idx]]
+        mu = (1.0 - r) / (n + 1)
         if accept_hook is not None:
             accept_hook(resid_mat.copy(), state[washout:].copy(), r, mu)
         if fallback:
@@ -398,7 +384,7 @@ def train_sub_reservoir(
         resid_mat, resid = new_resid_mat, new_resid
         report.residual_trace.append(resid)
         report.accepted_lambda.append(lam)
-        report.accepted_xi.append(float(xi[0]))
+        report.accepted_xi.append(float(xi_sums[rungs[idx], idx]))
         report.accepted_r.append(r)
 
     if not report.stop_reason:

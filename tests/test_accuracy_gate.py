@@ -1,6 +1,8 @@
+import copy
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,3 +43,18 @@ def test_bootstrap_is_seeded_and_brackets_the_median():
     lo, hi = gate.bootstrap_median_ci(stats)
     assert (lo, hi) == gate.bootstrap_median_ci(stats)
     assert lo < np.median(stats) < hi
+
+
+def test_weights_digest_changes_with_any_weight_bit():
+    rng = np.random.default_rng(2)
+    res = SimpleNamespace(w_in=rng.normal(size=(3, 2)), w_r=np.tril(rng.normal(size=(3, 3))),
+                          b=rng.normal(size=3), w_out=rng.normal(size=(1, 5)))
+    bank = SimpleNamespace(centers=rng.normal(size=(1, 2)), widths=np.ones((1, 2)))
+    model = SimpleNamespace(rule_bank=bank, sub_reservoirs=(res,))
+    digest = gate.weights_digest(model)
+    assert gate.weights_digest(copy.deepcopy(model)) == digest
+    for name in ("w_in", "w_r", "b", "w_out"):
+        bumped = copy.deepcopy(model)
+        arr = getattr(bumped.sub_reservoirs[0], name).reshape(-1)
+        arr[-1] = np.nextafter(arr[-1], np.inf)
+        assert gate.weights_digest(bumped) != digest, name

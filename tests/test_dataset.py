@@ -278,6 +278,17 @@ class TestWriteSeriesCsv:
             if values.shape[1] >= 2 and np.isfinite(values).all():  # a loadable dataset
                 assert np.array_equal(load_csv(path, header[1:], header[1:]).inputs, values)
 
+    @pytest.mark.parametrize("n_rows", [1023, 1024, 1025, 5000])
+    def test_rows_written_in_blocks_are_a_row_by_row_csv_writer(self, tmp_path, n_rows):
+        values = np.random.default_rng(n_rows).normal(size=n_rows).tolist()
+        columns = [list(range(n_rows)), values]
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["n", "y"])
+        writer.writerows(zip(*columns))
+        write_series_csv(tmp_path / "out.csv", ["n", "y"], columns)
+        assert (tmp_path / "out.csv").read_bytes() == want.getvalue().encode()
+
 
 class TestNormalization:
     def test_affine_endpoints(self):

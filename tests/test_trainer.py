@@ -262,6 +262,11 @@ def scalar_candidate_states(res, pool, inputs, states):
     return out
 
 
+def pool_slices(batch, g_max):
+    """The batch cut back into its g_max-wide pools."""
+    return [tuple(a[j : j + g_max] for a in batch) for j in range(0, len(batch[2]), g_max)]
+
+
 def design_of(inputs, states, width):
     """The trainer's time-major design [u(t), 1, x(t-1)], padded with NaN to width."""
     k, n = inputs.shape[0], states.shape[0]
@@ -297,13 +302,15 @@ class TestBatchedScreening:
         u = rng.uniform(-1, 1, (n_inputs, n_steps))
         states = res.rollout(u)
         cfg = ScConfig(g_max=g_max, activation=activation)
-        pools = [trainer._draw_pool(rng, cfg, lam, n_nodes, n_inputs, budget) for _ in range(n_pools)]
-        # columns past K + 1 + n and past the pools' width must never be read
+        batch = tuple(map(np.concatenate, zip(
+            *[trainer._draw_pool(rng, cfg, lam, n_nodes, n_inputs, budget) for _ in range(n_pools)])))
+        # columns past K + 1 + n and past the batch's width must never be read
         design = design_of(u, states, n_inputs + 1 + n_nodes + 3)
         work = np.full((n_steps, 5 * g_max), np.nan)
-        cands = trainer._candidate_states(res, pools, design, work)
+        cands = trainer._candidate_states(*batch, activation, n_nodes, design, work)
         assert cands.shape == (n_steps, n_pools * g_max)
-        reference = np.hstack([scalar_candidate_states(res, pool, u, states) for pool in pools])
+        reference = np.hstack([scalar_candidate_states(res, pool, u, states)
+                               for pool in pool_slices(batch, g_max)])
         np.testing.assert_allclose(cands, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -318,13 +325,12 @@ class TestBatchedScreening:
         cfg = ScConfig(**kwargs)
         u = plant_train.inputs
 
-        def one_pool_at_a_time(res, pools, design, work):
+        def one_pool_at_a_time(w_in, w_r, b, activation, n, design, work):
             # each pool's own three pre-activation products, each pool in its own loop
-            g = trainer.ACTIVATIONS[res.activation]
-            n = res.n_nodes
-            k = res.n_inputs
+            g = trainer.ACTIVATIONS[activation]
+            k = u.shape[0]
             out = []
-            for w_in_c, w_r_c, b_c in pools:
+            for w_in_c, w_r_c, b_c in pool_slices((w_in, w_r, b), cfg.g_max):
                 pre = w_in_c @ u + b_c[:, None]
                 pre[:, 1:] += w_r_c[:, :n] @ design[1:, k + 1 : k + 1 + n].T
                 x = np.zeros(len(b_c))
@@ -367,9 +373,9 @@ class TestBatchedScreening:
             fitted.append(states.copy())
             return fit(states, *args)
 
-        def spy_screen(res, pools, design, work):
-            designs.append((res.n_nodes, design.copy()))
-            return screen(res, pools, design, work)
+        def spy_screen(w_in_c, w_r_c, b_c, activation, n, design, work):
+            designs.append((n, design.copy()))
+            return screen(w_in_c, w_r_c, b_c, activation, n, design, work)
 
         monkeypatch.setattr(trainer, "fit_readout", spy_fit)
         monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
@@ -417,8 +423,8 @@ class TestLadderRungs:
         zero_rows=st.sets(st.integers(0, 2)),
         zero_cands=st.sets(st.integers(0, 5)),
     )
-    def test_closed_form_rung_is_the_smallest_passing_r(self, seed, n_outputs, n_cand, n_nodes,
-                                                          schedule, zero_rows, zero_cands):
+    def test_table_matches_evaluate_xi_at_every_rung(self, seed, n_outputs, n_cand, n_nodes,
+                                                       schedule, zero_rows, zero_cands):
         rng = np.random.default_rng(seed)
         e = rng.normal(size=(n_outputs, 40))
         # candidates from nearly parallel to the residual to nearly orthogonal,
@@ -434,9 +440,11 @@ class TestLadderRungs:
         for i in zero_cands:
             cands[i % n_cand] = 0.0
         ladder = trainer._r_ladder(schedule)
-        rungs = trainer._ladder_rungs(e, trainer._projections(e, cands), ladder, n_nodes)
+        sums, rungs = trainer._xi_table(e, trainer._projections(e, cands), ladder, n_nodes)
+        assert sums.shape == (len(ladder), n_cand)
         expected = np.full(n_cand, len(ladder))
         for j, r in reversed(list(enumerate(ladder))):
-            _, xi_q = evaluate_xi(e, cands, r, (1.0 - r) / (n_nodes + 1))
+            xi, xi_q = evaluate_xi(e, cands, r, (1.0 - r) / (n_nodes + 1))
+            assert np.array_equal(sums[j], xi)
             expected[xi_q.min(axis=1) >= 0.0] = j
         assert np.array_equal(rungs, expected)
