@@ -234,6 +234,8 @@ def cmd_predict(args, cfg) -> int:
 
 
 def cmd_eval(args, cfg) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     model = load_model(args.model)
     data = _load_data(args.data, cfg, args)
     value = ev.nrmse(predict(model, data.inputs), data.targets, data.washout)
@@ -264,13 +266,26 @@ def cmd_online(args, cfg) -> int:
     return 0
 
 
+def _counts(text, flag):
+    """A comma-separated list of integers >= 1, or a ConfigError naming flag."""
+    try:
+        values = [int(v) for v in str(text).split(",")]
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise ConfigError(f"{flag} must be comma-separated integers >= 1, got {text!r}")
+
+
 def cmd_gridsearch(args, cfg) -> int:
+    q_values = _counts(args.q_list, "--q-list")
+    n_values = _counts(args.n_list, "--n-list")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     options = train_options(cfg)
     train = _load_data(args.train, cfg, args)
     val = _load_data(args.val, cfg, args)
     test = _load_data(args.test or args.val, cfg, args)
-    q_values = [int(v) for v in str(args.q_list).split(",")]
-    n_values = [int(v) for v in str(args.n_list).split(",")]
     result = ev.grid_search(
         train, val, test, q_values=q_values, n_values=n_values,
         model_kind=args.model_kind, trials_per_cell=args.trials, base_seed=cfg["seed"],

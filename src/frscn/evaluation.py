@@ -243,8 +243,11 @@ def emit_report(
 
     summary.json always; predictions.csv and fire_strengths.csv when a model
     and dataset are given (post-washout rows only); grid.csv when a grid
-    result is given.
+    result is given. fire_strength_stride keeps every stride-th row of
+    fire_strengths.csv and must be >= 1.
     """
+    if fire_strength_stride < 1:
+        raise ValueError(f"fire_strength_stride must be >= 1, got {fire_strength_stride}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -276,7 +279,7 @@ def emit_report(
 
         u = model.normalization.apply_inputs(dataset.inputs)
         phi = fire_strength_matrix(model.rule_bank, u)
-        stride = max(1, fire_strength_stride)
+        stride = fire_strength_stride
         path = out / "fire_strengths.csv"
         write_series_csv(
             path,

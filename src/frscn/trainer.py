@@ -14,8 +14,8 @@ push the refit residual back up), each candidate's feedback row is capped
 before screening so that the grown matrix keeps its largest singular value
 at or below alpha. Accepted nodes therefore behave exactly as screened,
 earlier state rows never change, and the trace is monotone by construction.
-Screening keeps a time-major design [u(t), 1, x(t-1)] per rule, so one
-product gives every candidate of a weight scale its pre-activations.
+A rule's states live only in its time-major design [u(t), 1, x(t-1)]: one
+product with it screens a weight scale's candidates, and the refit reads it.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class TrainReport:
     residual_trace[0] is the residual F-norm after the initial readout fit;
     each later entry follows one accepted node. The trace is non-increasing.
     counters["pools_screened"] counts the candidate pools rolled out and
-    scored: _POOLS_PER_SCALE per weight scale tried.
+    scored: _POOLS_PER_SCALE per weight scale tried. Near the edge of its rung,
+    a node's accepted_xi keeps only about 8 digits: xi's two terms cancel.
     """
 
     residual_trace: list = field(default_factory=list)
@@ -236,9 +237,8 @@ def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
     w_r_c[:, n_nodes] = rng.uniform(-lam, lam, cfg.g_max)
     b_c = rng.uniform(-lam, lam, cfg.g_max)
     norms = np.linalg.norm(w_r_c, axis=1)
-    over = norms > budget
-    if over.any():
-        w_r_c[over] *= (budget / np.where(norms > 0, norms, 1.0))[over, None]
+    over = norms > budget  # budget >= 0, so these norms are positive
+    w_r_c[over] *= budget / norms[over, None]
     return w_in_c, w_r_c, b_c
 
 
@@ -295,9 +295,9 @@ def train_sub_reservoir(
     never exceeds the alpha singular-value budget; the screened states are
     therefore exactly the committed states and no re-rollout is needed.
 
-    A scale's batch gets its pre-activations from one product with the
-    rule's design (T x K + 1 + n_max; each accepted node fills its next state
-    column) and is rolled out in one recurrence loop.
+    The rule's states live only in its design (T + 1 x K + 1 + n_max). Its
+    first T rows give a scale's batch its pre-activations in one product;
+    each try writes its states into the next state column for the refit.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, with the r and mu the candidate was accepted at, for
     instrumentation.
@@ -322,22 +322,22 @@ def train_sub_reservoir(
         smax = cfg.alpha
     res = SubReservoir(w_in=w_in, w_r=w_r, b=b, activation=cfg.activation, alpha=cfg.alpha)
 
-    states = res.rollout(u)
+    # Buffers reused by every node: the design [u(t), 1, x(t-1)] with x(-1) = 0,
+    # one row past the series so that nodes[t] = x(t), and one scale's batch.
+    design = np.zeros((u.shape[1] + 1, k + 1 + cfg.n_max))
+    design[:-1, :k] = u.T
+    design[:-1, k] = 1.0
+    nodes = design[1:, k + 1 :]
+    nodes[:, :n0] = res.rollout(u).T
+    work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max))
+
     report = TrainReport()
-    w_out, fallback = fit_readout(states, u, t, cfg.ridge, washout)
+    w_out, fallback = fit_readout(nodes[:, :n0].T, u, t, cfg.ridge, washout)
     if fallback:
-        report.ridge_fallbacks.append(res.n_nodes)
-    res = replace(res, w_out=w_out)
-    resid_mat, resid = _residual(w_out, states, u, t, washout)
+        report.ridge_fallbacks.append(n0)
+    resid_mat, resid = _residual(w_out, nodes[:, :n0].T, u, t, washout)
     report.residual_trace.append(resid)
 
-    # Buffers reused by every node: the design [u(t), 1, x(t-1)] with x(0) = 0,
-    # and the states of one scale's batch.
-    design = np.zeros((u.shape[1], k + 1 + cfg.n_max))
-    design[:, :k] = u.T
-    design[:, k] = 1.0
-    design[1:, k + 1 : k + 1 + n0] = states[:, :-1].T
-    work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max))
     ladder = _r_ladder(cfg.r_schedule)
     counters = report.counters = {"pools_screened": 0}
     while resid > cfg.epsilon and res.n_nodes < cfg.n_max:
@@ -350,18 +350,16 @@ def train_sub_reservoir(
             w_in_c, w_r_c, b_c = map(np.concatenate, zip(
                 *[_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]))
             counters["pools_screened"] += _POOLS_PER_SCALE
-            cands = _candidate_states(w_in_c, w_r_c, b_c, cfg.activation, n, design, work)
+            cands = _candidate_states(w_in_c, w_r_c, b_c, cfg.activation, n, design[:-1], work)
             proj = _projections(resid_mat, cands[washout:].T)
             keys = proj.sum(axis=1)
             xi_sums, rungs = _xi_table(resid_mat, proj, ladder, n)
             passing = np.flatnonzero(rungs < len(ladder))
             # a stable sort: of equal keys, the earlier draw stays first
             for idx in passing[np.argsort(-keys[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]:
-                state = cands[:, idx].copy()
-                grown = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
-                new_states = np.vstack([states, state])
-                w_out, fallback = fit_readout(new_states, u, t, cfg.ridge, washout)
-                new_resid_mat, new_resid = _residual(w_out, new_states, u, t, washout)
+                nodes[:, n] = cands[:, idx]  # a rejected try's column is overwritten or unread
+                w_try, fallback = fit_readout(nodes[:, : n + 1].T, u, t, cfg.ridge, washout)
+                new_resid_mat, new_resid = _residual(w_try, nodes[:, : n + 1].T, u, t, washout)
                 if new_resid <= resid * (1.0 + _GUARD_RTOL):
                     break
                 report.guard_rejections += 1
@@ -374,13 +372,12 @@ def train_sub_reservoir(
         r = ladder[rungs[idx]]
         mu = (1.0 - r) / (n + 1)
         if accept_hook is not None:
-            accept_hook(resid_mat.copy(), state[washout:].copy(), r, mu)
+            accept_hook(resid_mat.copy(), nodes[washout:, n].copy(), r, mu)
         if fallback:
-            report.ridge_fallbacks.append(grown.n_nodes)
-        res = replace(grown, w_out=w_out)
+            report.ridge_fallbacks.append(n + 1)
+        res = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
         smax = max_singular_value(res.w_r)
-        states = new_states
-        design[1:, k + 1 + n] = state[:-1]
+        w_out = w_try
         resid_mat, resid = new_resid_mat, new_resid
         report.residual_trace.append(resid)
         report.accepted_lambda.append(lam)
@@ -399,4 +396,4 @@ def train_sub_reservoir(
         report.final_nrmse = nrmse(t_post - resid_mat, t_post, washout=0)
     except UndefinedMetricError:
         report.final_nrmse = float("nan")  # constant target: metric undefined
-    return res, report
+    return replace(res, w_out=w_out), report

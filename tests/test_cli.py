@@ -396,6 +396,19 @@ class TestEvalReportDir:
         assert fs[0] == "n,phi_1,phi_2"
         assert len(fs) - 1 == (200 - 40 + 9) // 10
 
+    @pytest.mark.parametrize("stride", ["0", "-5"])
+    def test_stride_below_one_exits_2_without_writing(self, data_dir, tmp_path, capsys, stride):
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--seed", "4",
+                    "--out-model", str(model_path),
+                    "--out-report", str(tmp_path / "rep.json"), *FAST]) == 0
+        report_dir = tmp_path / "report"
+        assert run(["eval", "--model", str(model_path),
+                    "--data", str(data_dir / "test.csv"), "--washout", "40",
+                    "--report-dir", str(report_dir), "--stride", stride]) == 2
+        assert f"config error: --stride must be >= 1, got {stride}" in capsys.readouterr().err
+        assert not report_dir.exists()
+
 
 class TestGridSearchCommand:
     def test_single_cell_grid(self, data_dir, tmp_path):
@@ -410,6 +423,22 @@ class TestGridSearchCommand:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["grid"]["best_q"] == 1
         assert doc["grid"]["best_n"] == 6
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--q-list", "x"], "--q-list must be comma-separated integers >= 1, got 'x'"),
+        (["--q-list", "1,0"], "--q-list must be comma-separated integers >= 1, got '1,0'"),
+        (["--n-list", "-3"], "--n-list must be comma-separated integers >= 1, got '-3'"),
+        (["--n-list", "6,"], "--n-list must be comma-separated integers >= 1, got '6,'"),
+    ])
+    def test_bad_grid_flags_exit_2_without_writing(self, data_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "grid"
+        code = run(["gridsearch", "--train", str(data_dir / "train.csv"),
+                    "--val", str(data_dir / "val.csv"), "--q-list", "1", "--n-list", "6",
+                    "--out", str(out), "--washout", "40", *flags])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_cell_failing_exits_1(self, tmp_path, capsys):
         # constant columns: two rules cannot be clustered, so every trial fails

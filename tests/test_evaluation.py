@@ -187,6 +187,14 @@ class TestEmitReport:
             assert abs(sum(phis) - 1.0) < 1e-9
             assert all(p >= 0 for p in phis)
 
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_stride_below_one_raises_before_writing(self, tmp_path, small_task, stride):
+        train, val, test = small_task
+        model, _, _ = run_single_trial(train, val, test, "frscn", q=2, sc_cfg=FAST_SC, seed=0)
+        with pytest.raises(ValueError, match="fire_strength_stride"):
+            emit_report(tmp_path / "out", model=model, dataset=test, fire_strength_stride=stride)
+        assert not (tmp_path / "out").exists()
+
     def test_grid_csv(self, tmp_path, small_task):
         train, val, test = small_task
         grid = grid_search(train, val, test, q_values=[1], n_values=[6],

@@ -360,6 +360,8 @@ class TestBatchedScreening:
             ({"n_max": 20, "activation": "sigmoid"}, 3),
             ({"n_max": 40, "g_max": 2, "lambda_grid": (0.1,)}, 1),
             ({"n_max": 5, "initial_size": 5}, 0),
+            # rejects tries at the guard, whose columns must not reach the committed states
+            ({"n_max": 20, "ridge": 1e-6}, 3),
         ],
     )
     def test_design_holds_the_committed_states(self, plant_train, monkeypatch, kwargs, seed):
@@ -380,6 +382,8 @@ class TestBatchedScreening:
         monkeypatch.setattr(trainer, "fit_readout", spy_fit)
         monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
         res, rep = train_sub_reservoir(plant_train, cfg, seed=seed)
+        if cfg.ridge > 0:
+            assert rep.guard_rejections >= 1
         rollout = res.rollout(u)
         # the last refit over the final node count is the committed one; a
         # guard-rejected try has one node more
