@@ -150,14 +150,13 @@ def train_options(cfg: dict) -> dict:
 
 
 def cmd_gen_data(args, cfg) -> int:
-    sizes = [int(s) for s in str(args.sizes).split(",")]
-    if len(sizes) != 3 or any(s < 5 for s in sizes):
+    sizes = _counts(args.sizes, "--sizes", least=5)
+    if len(sizes) != 3:
         raise ConfigError("--sizes must be three counts >= 5, e.g. 2000,1000,1000")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"]
     washout = cfg["washout"]
-    splits = {}
     modes = {}
     for name, size, mode, split_seed in (
         ("train", sizes[0], "train-random", seed),
@@ -167,7 +166,6 @@ def cmd_gen_data(args, cfg) -> int:
     ):
         ds = ds_mod.generate_plant_sequence(size, mode=mode, seed=split_seed,
                                             washout=min(washout, size - 1))
-        splits[name] = ds
         modes[name] = mode
         ds_mod.write_series_csv(
             out / f"{name}.csv",
@@ -193,9 +191,13 @@ def _load_data(path, cfg, args):
     shifts = []
     for spec in args.shift or []:
         col, _, lag = spec.partition(":")
-        if not lag:
-            raise ConfigError(f"--shift expects COLUMN:LAG, got {spec!r}")
-        shifts.append((col, int(lag)))
+        try:
+            lag = int(lag)
+        except ValueError:
+            lag = 0
+        if lag < 1:
+            raise ConfigError(f"--shift expects COLUMN:LAG with an integer LAG >= 1, got {spec!r}")
+        shifts.append((col, lag))
     return ds_mod.load_csv(path, input_cols, target_cols,
                            washout=cfg["washout"], shifts=tuple(shifts))
 
@@ -266,15 +268,15 @@ def cmd_online(args, cfg) -> int:
     return 0
 
 
-def _counts(text, flag):
-    """A comma-separated list of integers >= 1, or a ConfigError naming flag."""
+def _counts(text, flag, least=1):
+    """A comma-separated list of integers >= least, or a ConfigError naming flag."""
     try:
         values = [int(v) for v in str(text).split(",")]
-        if min(values) >= 1:
+        if min(values) >= least:
             return values
     except ValueError:
         pass
-    raise ConfigError(f"{flag} must be comma-separated integers >= 1, got {text!r}")
+    raise ConfigError(f"{flag} must be comma-separated integers >= {least}, got {text!r}")
 
 
 def cmd_gridsearch(args, cfg) -> int:

@@ -96,15 +96,18 @@ class FuzzyRuleBank:
         return stable / np.add.accumulate(stable, axis=0)[-1]
 
 
-def _memberships(points: np.ndarray, centers: np.ndarray, m: float) -> np.ndarray:
-    """FCM membership matrix, Q x n.
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """d2[i, j] = squared distance of point j (K x n) to center i (Q x K)."""
+    return ((points[None, :, :] - centers[:, :, None]) ** 2).sum(axis=1)
+
+
+def _memberships(d2: np.ndarray, m: float) -> np.ndarray:
+    """FCM membership matrix, Q x n, from the squared distances d2 (Q x n).
 
     mu_ij is proportional to (1 / d_ij^2)^(1/(m-1)), normalized over clusters.
     A point at zero distance from one or more centers gets its membership
     split over the coincident centers (1 when unique).
     """
-    # d2[i, j] = squared distance of point j to center i
-    d2 = ((points[None, :, :] - centers[:, :, None]) ** 2).sum(axis=1)
     mu = np.zeros_like(d2)
     zero = d2 <= 0.0
     coincident = zero.any(axis=0)
@@ -119,8 +122,7 @@ def _memberships(points: np.ndarray, centers: np.ndarray, m: float) -> np.ndarra
 
 def fcm_objective(points: np.ndarray, centers: np.ndarray, mu: np.ndarray, m: float) -> float:
     """The FCM cost sum_ij mu_ij^m * ||x_j - c_i||^2."""
-    d2 = ((points[None, :, :] - centers[:, :, None]) ** 2).sum(axis=1)
-    return float(((mu**m) * d2).sum())
+    return float(((mu**m) * _sq_distances(points, centers)).sum())
 
 
 def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig, seed: int = 0):
@@ -128,7 +130,8 @@ def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig, seed: int = 0):
 
     Alternates the membership and center updates until the largest center
     displacement drops below cfg.tol or the iteration cap is hit. Centers are
-    initialized from q distinct random training points under seed.
+    initialized from q distinct random training points under seed. The trace
+    holds fcm_objective at each iteration, the returned pair's last.
     """
     points = np.atleast_2d(np.asarray(inputs, dtype=float))  # K x n
     n = points.shape[1]
@@ -148,21 +151,20 @@ def run_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig, seed: int = 0):
     centers = distinct[:, order].T.copy()  # q x K
 
     trace = []
-    for _ in range(cfg.max_iter):
-        mu = _memberships(points, centers, cfg.m)
-        trace.append(fcm_objective(points, centers, mu, cfg.m))
+    converged = False
+    while True:
+        d2 = _sq_distances(points, centers)
+        mu = _memberships(d2, cfg.m)
         w = mu**cfg.m
+        trace.append(float((w * d2).sum()))
+        if converged or len(trace) > cfg.max_iter:
+            return centers, mu, trace
         denom = w.sum(axis=1)
         new_centers = np.where(
             denom[:, None] > 0, (w @ points.T) / np.where(denom > 0, denom, 1.0)[:, None], centers
         )
-        shift = np.abs(new_centers - centers).max()
+        converged = np.abs(new_centers - centers).max() < cfg.tol
         centers = new_centers
-        if shift < cfg.tol:
-            break
-    mu = _memberships(points, centers, cfg.m)
-    trace.append(fcm_objective(points, centers, mu, cfg.m))
-    return centers, mu, trace
 
 
 def fit_fcm(inputs: np.ndarray, q: int, cfg: FcmConfig | None = None,

@@ -14,13 +14,14 @@ push the refit residual back up), each candidate's feedback row is capped
 before screening so that the grown matrix keeps its largest singular value
 at or below alpha. Accepted nodes therefore behave exactly as screened,
 earlier state rows never change, and the trace is monotone by construction.
-A rule's states live only in its time-major design [u(t), 1, x(t-1)]: one
-product with it screens a weight scale's candidates, and the refit reads it.
+A rule's states live only in its time-major design [u(t), 1, x(t-1)], its
+weights only in one store of rows in that column order: one product of the
+design with a batch of such rows screens a weight scale's candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -225,40 +226,43 @@ def _masked_uniform(rng, lam, shape, density):
     return vals * keep
 
 
-def _draw_pool(rng, cfg, lam, n_nodes, k, budget):
-    """One pool of g_max candidate nodes at weight scale lam: (w_in_c, w_r_c, b_c).
+def _draw_pool(rng, cfg, lam, k, budget, out):
+    """Draw one pool of g_max candidate nodes at weight scale lam into out.
 
-    Each feedback row is norm-capped to budget, so whichever candidate is
+    out is the pool's g_max rows of a scale's batch, K + 2 + n wide: row i
+    holds candidate i's [w_in (K), b, feedback to the n accepted nodes, own
+    weight], the design's column order with the own weight last. Each
+    feedback row is norm-capped to budget, so whichever candidate is
     accepted keeps the grown matrix's sigma_max at or below alpha.
     """
     dens = rng.uniform(*cfg.sparsity_range, cfg.g_max)
-    w_in_c = rng.uniform(-lam, lam, (cfg.g_max, k))
-    w_r_c = _masked_uniform(rng, lam, (cfg.g_max, n_nodes + 1), dens[:, None])
-    w_r_c[:, n_nodes] = rng.uniform(-lam, lam, cfg.g_max)
-    b_c = rng.uniform(-lam, lam, cfg.g_max)
-    norms = np.linalg.norm(w_r_c, axis=1)
+    out[:, :k] = rng.uniform(-lam, lam, (cfg.g_max, k))
+    w_r = out[:, k + 1 :]
+    w_r[:] = _masked_uniform(rng, lam, w_r.shape, dens[:, None])
+    w_r[:, -1] = rng.uniform(-lam, lam, cfg.g_max)
+    out[:, k] = rng.uniform(-lam, lam, cfg.g_max)
+    norms = np.linalg.norm(w_r, axis=1)
     over = norms > budget  # budget >= 0, so these norms are positive
-    w_r_c[over] *= budget / norms[over, None]
-    return w_in_c, w_r_c, b_c
+    w_r[over] *= budget / norms[over, None]
 
 
-def _candidate_states(w_in_c, w_r_c, b_c, activation, n_nodes, design, work):
+def _candidate_states(cands, activation, design, work):
     """States of every candidate of a batch: a T x G view of work.
 
-    Column i holds candidate i, whose input, feedback (n_nodes + 1 wide, its
-    own weight last) and bias weights are row i of w_in_c, w_r_c and b_c.
-    design is the rule's time-major [u(t), 1, x(t-1)] (T x at least
-    K + 1 + n_nodes), so one product with [w_in_c, b_c, w_r_c[:, :n_nodes]]
-    gives every candidate's pre-activations; the candidates then advance
-    together in one loop over time. Exact under triangularity: a new node
-    reads only the accepted nodes' states plus its own previous state, so no
-    full re-rollout is needed during screening. The view is valid until the
-    next call.
+    Row i of cands (G x K + 2 + n) holds candidate i's weights in the
+    design's column order, its own feedback weight last. design is the
+    rule's time-major [u(t), 1, x(t-1)] (T x at least K + 1 + n), so one
+    product of its first K + 1 + n columns with all but the batch's last
+    column gives every candidate's pre-activations; the candidates then
+    advance together in one loop over time. Exact under triangularity: a new
+    node reads only the accepted nodes' states plus its own previous state,
+    so no full re-rollout is needed during screening. The view is valid
+    until the next call.
     """
     g = ACTIVATIONS[activation]
-    weights = np.column_stack([w_in_c, b_c, w_r_c[:, :n_nodes]])
+    weights = cands[:, :-1]
     out = np.matmul(design[:, :weights.shape[1]], weights.T, out=work[:, :weights.shape[0]])
-    self_w = w_r_c[:, n_nodes].copy()  # contiguous: read at every step
+    self_w = cands[:, -1].copy()  # contiguous: read at every step
     x = np.zeros(out.shape[1])
     buf = np.empty(out.shape[1])
     # each step overwrites its pre-activation row with the states it produces;
@@ -298,6 +302,8 @@ def train_sub_reservoir(
     The rule's states live only in its design (T + 1 x K + 1 + n_max). Its
     first T rows give a scale's batch its pre-activations in one product;
     each try writes its states into the next state column for the refit.
+    Its weights live in one store whose row i is node i's [w_in, b, w_r row];
+    an accepted candidate's batch row becomes the next row.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, with the r and mu the candidate was accepted at, for
     instrumentation.
@@ -310,47 +316,54 @@ def train_sub_reservoir(
     washout = train.washout
     k = train.n_inputs
 
+    # node i's [w_in, b, w_r row] in row i; entries past the accepted nodes stay zero
+    weights = np.zeros((cfg.n_max, k + 1 + cfg.n_max))
+    w_in, b, w_r = weights[:, :k], weights[:, k], weights[:, k + 1 :]
+
+    def reservoir(n, w_out=None):
+        return SubReservoir(w_in=w_in[:n].copy(), w_r=w_r[:n, :n].copy(), b=b[:n].copy(),
+                            w_out=w_out, activation=cfg.activation, alpha=cfg.alpha)
+
     lam0 = cfg.lambda_grid[0]
-    n0 = min(cfg.initial_size, cfg.n_max)
+    n = min(cfg.initial_size, cfg.n_max)
     density = rng.uniform(*cfg.sparsity_range)
-    w_in = rng.uniform(-lam0, lam0, (n0, k))
-    w_r = np.tril(_masked_uniform(rng, lam0, (n0, n0), density))
-    b = rng.uniform(-lam0, lam0, n0)
-    smax = max_singular_value(w_r)
+    w_in[:n] = rng.uniform(-lam0, lam0, (n, k))
+    w_r[:n, :n] = np.tril(_masked_uniform(rng, lam0, (n, n), density))
+    b[:n] = rng.uniform(-lam0, lam0, n)
+    smax = max_singular_value(w_r[:n, :n])
     if smax >= cfg.alpha:
-        w_r = w_r * (cfg.alpha / smax)
+        w_r[:n, :n] *= cfg.alpha / smax
         smax = cfg.alpha
-    res = SubReservoir(w_in=w_in, w_r=w_r, b=b, activation=cfg.activation, alpha=cfg.alpha)
 
     # Buffers reused by every node: the design [u(t), 1, x(t-1)] with x(-1) = 0,
-    # one row past the series so that nodes[t] = x(t), and one scale's batch.
+    # one row past the series so that nodes[t] = x(t), and the screening workspace.
     design = np.zeros((u.shape[1] + 1, k + 1 + cfg.n_max))
     design[:-1, :k] = u.T
     design[:-1, k] = 1.0
     nodes = design[1:, k + 1 :]
-    nodes[:, :n0] = res.rollout(u).T
+    nodes[:, :n] = reservoir(n).rollout(u).T
     work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max))
 
     report = TrainReport()
-    w_out, fallback = fit_readout(nodes[:, :n0].T, u, t, cfg.ridge, washout)
+    w_out, fallback = fit_readout(nodes[:, :n].T, u, t, cfg.ridge, washout)
     if fallback:
-        report.ridge_fallbacks.append(n0)
-    resid_mat, resid = _residual(w_out, nodes[:, :n0].T, u, t, washout)
+        report.ridge_fallbacks.append(n)
+    resid_mat, resid = _residual(w_out, nodes[:, :n].T, u, t, washout)
     report.residual_trace.append(resid)
 
     ladder = _r_ladder(cfg.r_schedule)
     counters = report.counters = {"pools_screened": 0}
-    while resid > cfg.epsilon and res.n_nodes < cfg.n_max:
-        n = res.n_nodes
+    while resid > cfg.epsilon and n < cfg.n_max:
         # Feedback-row budget keeping sigma_max of the grown matrix <= alpha:
         # ||G x||^2 <= (sigma_max^2 + ||row||^2) ||x||^2 for an appended row.
         # The alpha/2 term stops any single node from hoarding the budget.
         budget = min(cfg.alpha / 2.0, np.sqrt(max(cfg.alpha**2 - smax**2, 0.0)))
+        batch = np.empty((_POOLS_PER_SCALE * cfg.g_max, k + 2 + n))
         for lam in cfg.lambda_grid:
-            w_in_c, w_r_c, b_c = map(np.concatenate, zip(
-                *[_draw_pool(rng, cfg, lam, n, k, budget) for _ in range(_POOLS_PER_SCALE)]))
+            for pool in np.split(batch, _POOLS_PER_SCALE):
+                _draw_pool(rng, cfg, lam, k, budget, pool)
             counters["pools_screened"] += _POOLS_PER_SCALE
-            cands = _candidate_states(w_in_c, w_r_c, b_c, cfg.activation, n, design[:-1], work)
+            cands = _candidate_states(batch, cfg.activation, design[:-1], work)
             proj = _projections(resid_mat, cands[washout:].T)
             keys = proj.sum(axis=1)
             xi_sums, rungs = _xi_table(resid_mat, proj, ladder, n)
@@ -375,8 +388,9 @@ def train_sub_reservoir(
             accept_hook(resid_mat.copy(), nodes[washout:, n].copy(), r, mu)
         if fallback:
             report.ridge_fallbacks.append(n + 1)
-        res = res.grow(w_in_c[idx], w_r_c[idx], b_c[idx])
-        smax = max_singular_value(res.w_r)
+        weights[n, : k + 2 + n] = batch[idx]
+        n += 1
+        smax = max_singular_value(w_r[:n, :n])
         w_out = w_try
         resid_mat, resid = new_resid_mat, new_resid
         report.residual_trace.append(resid)
@@ -386,7 +400,7 @@ def train_sub_reservoir(
 
     if not report.stop_reason:
         report.stop_reason = "tolerance" if resid <= cfg.epsilon else "size-cap"
-    report.n_nodes = res.n_nodes
+    report.n_nodes = n
 
     from .evaluation import nrmse  # deferred: evaluation depends on model
     from .errors import UndefinedMetricError
@@ -396,4 +410,4 @@ def train_sub_reservoir(
         report.final_nrmse = nrmse(t_post - resid_mat, t_post, washout=0)
     except UndefinedMetricError:
         report.final_nrmse = float("nan")  # constant target: metric undefined
-    return replace(res, w_out=w_out), report
+    return reservoir(n, w_out), report

@@ -62,8 +62,12 @@ class TestGenData:
         for name in ("train.csv", "val.csv", "test.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_bad_sizes_is_config_error(self, tmp_path):
-        assert run(["gen-data", "--out", str(tmp_path / "x"), "--sizes", "10"]) == 2
+    def test_bad_sizes_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        for sizes in ("10", "x,10,10", "10,4,10", "10,,10"):
+            assert run(["gen-data", "--out", str(out), "--sizes", sizes]) == 2
+            assert "config error: --sizes must be" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestConfig:
@@ -203,6 +207,15 @@ class TestTrainPredictEval:
                     "--input-cols", "y,u", "--target-cols", "y",
                     "--washout", "5", "--json"])
         assert code == 0
+
+    @pytest.mark.parametrize("shift", ["y:x", "y:0", "y:-2", "y"])
+    def test_bad_shift_exits_2_without_writing(self, data_dir, tmp_path, capsys, shift):
+        model_path, report_path = tmp_path / "model.json", tmp_path / "rep.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--shift", shift,
+                    "--out-model", str(model_path), "--out-report", str(report_path), *FAST]) == 2
+        assert (f"config error: --shift expects COLUMN:LAG with an integer LAG >= 1, got {shift!r}"
+                in capsys.readouterr().err)
+        assert not model_path.exists() and not report_path.exists()
 
     def test_dimension_mismatch_exits_1(self, data_dir, tmp_path):
         res = SubReservoir(w_in=np.zeros((1, 3)), w_r=np.zeros((1, 1)), b=np.zeros(1),

@@ -109,8 +109,9 @@ class TestFcmProperties:
         q = min(q, np.unique(pts, axis=1).shape[1])
         cfg = FcmConfig()
 
-        _, mu, trace = run_fcm(pts, q, cfg, seed=seed)
+        centers, mu, trace = run_fcm(pts, q, cfg, seed=seed)
         assert np.abs(mu.sum(axis=0) - 1.0).max() <= 1e-12
+        assert trace[-1] == fcm_objective(pts, centers, mu, cfg.m)
         # rounding moves a center by some delta, and the objective J by up to
         # 2 delta sqrt(n J) + n delta^2: visible when J is near zero
         delta = 1e-14 * np.abs(pts).max()

@@ -245,26 +245,20 @@ class TestTrainSubReservoir:
 
 
 def scalar_candidate_states(res, pool, inputs, states):
-    """T x G states of each candidate of pool, one scalar step at a time."""
-    w_in_c, w_r_c, b_c = pool
+    """T x G states of each candidate row [w_in, b, w_r] of pool, one scalar step at a time."""
     g = trainer.ACTIVATIONS[res.activation]
-    n = res.n_nodes
-    out = np.empty((inputs.shape[1], len(b_c)))
-    for i in range(len(b_c)):
+    k, n = res.n_inputs, res.n_nodes
+    out = np.empty((inputs.shape[1], len(pool)))
+    for i, row in enumerate(pool):
         x = 0.0
         for t in range(inputs.shape[1]):
-            pre = w_in_c[i] @ inputs[:, t] + b_c[i] + w_r_c[i, n] * x
+            pre = row[:k] @ inputs[:, t] + row[k] + row[-1] * x
             if t > 0:
-                pre += w_r_c[i, :n] @ states[:, t - 1]
+                pre += row[k + 1 : -1] @ states[:, t - 1]
             with np.errstate(over="ignore"):
                 x = float(g(np.array(pre)))
             out[t, i] = x
     return out
-
-
-def pool_slices(batch, g_max):
-    """The batch cut back into its g_max-wide pools."""
-    return [tuple(a[j : j + g_max] for a in batch) for j in range(0, len(batch[2]), g_max)]
 
 
 def design_of(inputs, states, width):
@@ -302,15 +296,17 @@ class TestBatchedScreening:
         u = rng.uniform(-1, 1, (n_inputs, n_steps))
         states = res.rollout(u)
         cfg = ScConfig(g_max=g_max, activation=activation)
-        batch = tuple(map(np.concatenate, zip(
-            *[trainer._draw_pool(rng, cfg, lam, n_nodes, n_inputs, budget) for _ in range(n_pools)])))
+        batch = np.full((n_pools * g_max, n_inputs + 2 + n_nodes), np.nan)
+        for pool in np.split(batch, n_pools):
+            trainer._draw_pool(rng, cfg, lam, n_inputs, budget, pool)
+        assert not np.isnan(batch).any()
         # columns past K + 1 + n and past the batch's width must never be read
         design = design_of(u, states, n_inputs + 1 + n_nodes + 3)
         work = np.full((n_steps, 5 * g_max), np.nan)
-        cands = trainer._candidate_states(*batch, activation, n_nodes, design, work)
+        cands = trainer._candidate_states(batch, activation, design, work)
         assert cands.shape == (n_steps, n_pools * g_max)
         reference = np.hstack([scalar_candidate_states(res, pool, u, states)
-                               for pool in pool_slices(batch, g_max)])
+                               for pool in np.split(batch, n_pools)])
         np.testing.assert_allclose(cands, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -325,18 +321,19 @@ class TestBatchedScreening:
         cfg = ScConfig(**kwargs)
         u = plant_train.inputs
 
-        def one_pool_at_a_time(w_in, w_r, b, activation, n, design, work):
+        def one_pool_at_a_time(cands, activation, design, work):
             # each pool's own three pre-activation products, each pool in its own loop
             g = trainer.ACTIVATIONS[activation]
             k = u.shape[0]
+            n = cands.shape[1] - k - 2
             out = []
-            for w_in_c, w_r_c, b_c in pool_slices((w_in, w_r, b), cfg.g_max):
-                pre = w_in_c @ u + b_c[:, None]
-                pre[:, 1:] += w_r_c[:, :n] @ design[1:, k + 1 : k + 1 + n].T
-                x = np.zeros(len(b_c))
+            for pool in np.split(cands, len(cands) // cfg.g_max):
+                pre = pool[:, :k] @ u + pool[:, k, None]
+                pre[:, 1:] += pool[:, k + 1 : -1] @ design[1:, k + 1 : k + 1 + n].T
+                x = np.zeros(len(pool))
                 with np.errstate(over="ignore"):
                     for t in range(pre.shape[1]):
-                        x = pre[:, t] = g(pre[:, t] + w_r_c[:, n] * x)
+                        x = pre[:, t] = g(pre[:, t] + pool[:, -1] * x)
                 out.append(pre.T)
             return np.hstack(out)
 
@@ -375,9 +372,9 @@ class TestBatchedScreening:
             fitted.append(states.copy())
             return fit(states, *args)
 
-        def spy_screen(w_in_c, w_r_c, b_c, activation, n, design, work):
-            designs.append((n, design.copy()))
-            return screen(w_in_c, w_r_c, b_c, activation, n, design, work)
+        def spy_screen(cands, activation, design, work):
+            designs.append((cands.shape[1] - k - 2, design.copy()))
+            return screen(cands, activation, design, work)
 
         monkeypatch.setattr(trainer, "fit_readout", spy_fit)
         monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
@@ -397,6 +394,40 @@ class TestBatchedScreening:
             assert (design[:, k] == 1.0).all()
             assert not design[0, k + 1 : k + 1 + n].any()
             np.testing.assert_allclose(design[1:, k + 1 : k + 1 + n], rollout[:n, :-1].T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, seed",
+        [
+            ({"n_max": 20}, 9),
+            # rejects tries at the guard, whose rows must not reach the weights
+            ({"n_max": 20, "ridge": 1e-6}, 3),
+            ({"n_max": 20, "activation": "sigmoid"}, 3),
+        ],
+    )
+    def test_weights_are_rows_of_the_accepting_batch(self, plant_train, monkeypatch, kwargs, seed):
+        cfg = ScConfig(**kwargs)
+        k = plant_train.n_inputs
+        last_batch = {}
+        screen = trainer._candidate_states
+
+        def spy_screen(cands, activation, design, work):
+            last_batch[cands.shape[1] - k - 2] = cands.copy()
+            return screen(cands, activation, design, work)
+
+        monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
+        res, rep = train_sub_reservoir(plant_train, cfg, seed=seed)
+        if cfg.ridge > 0:
+            assert rep.guard_rejections >= 1
+        n0 = min(cfg.initial_size, cfg.n_max)
+        assert sorted(last_batch) == list(range(n0, res.n_nodes))
+        for n in range(n0, res.n_nodes):
+            row = np.concatenate([res.w_in[n], [res.b[n]], res.w_r[n, : n + 1]])
+            assert (last_batch[n] == row).all(axis=1).any()
+        # the reservoir holds copies the size of its own rows, not views of
+        # the n_max-wide store (SubReservoir's reshape and ravel may add a view)
+        for a in (res.w_in, res.w_r, res.b):
+            owner = a if a.base is None else a.base
+            assert owner.base is None and owner.size == a.size
 
     @pytest.mark.parametrize(
         "kwargs, seed",
