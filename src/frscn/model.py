@@ -332,7 +332,7 @@ def replace_readout(model: FrscnModel, theta: np.ndarray) -> FrscnModel:
     bounds = np.cumsum([res.n_nodes + model.n_inputs for res in model.sub_reservoirs])
     blocks = np.split(theta, bounds[:-1], axis=1)
     return replace(model, sub_reservoirs=tuple(
-        replace(res, w_out=block.copy()) for res, block in zip(model.sub_reservoirs, blocks)))
+        replace(res, w_out=block) for res, block in zip(model.sub_reservoirs, blocks)))
 
 
 def stacked_features(phi: np.ndarray, blocks: list) -> np.ndarray:

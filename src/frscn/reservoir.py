@@ -109,6 +109,7 @@ class SubReservoir:
     w_in: N x K input weights; w_r: N x N lower-triangular feedback;
     b: length-N bias; w_out: L x (N+K) readout over [state; input], or None
     until fitted; alpha: spectral scaling factor used at the last rescale.
+    The reservoir holds its own copies of the arrays it is given.
     """
 
     w_in: np.ndarray
@@ -119,10 +120,10 @@ class SubReservoir:
     alpha: float = 0.9
 
     def __post_init__(self):
-        w_in = np.atleast_2d(np.asarray(self.w_in, dtype=float))
-        w_r = np.asarray(self.w_r, dtype=float)
+        w_in = np.atleast_2d(np.array(self.w_in, dtype=float))
+        w_r = np.array(self.w_r, dtype=float)
         w_r = w_r.reshape(w_in.shape[0], w_in.shape[0]) if w_r.size else w_r.reshape(0, 0)
-        b = np.asarray(self.b, dtype=float).ravel()
+        b = np.array(self.b, dtype=float).ravel()
         object.__setattr__(self, "w_in", w_in)
         object.__setattr__(self, "w_r", w_r)
         object.__setattr__(self, "b", b)
@@ -137,7 +138,7 @@ class SubReservoir:
             if arr.size and not np.isfinite(arr).all():
                 raise ValueError("non-finite reservoir weights")
         if self.w_out is not None:
-            w_out = np.atleast_2d(np.asarray(self.w_out, dtype=float))
+            w_out = np.atleast_2d(np.array(self.w_out, dtype=float))
             object.__setattr__(self, "w_out", w_out)
             if w_out.shape[1] != n + w_in.shape[1]:
                 raise ValueError("readout must have N+K columns")

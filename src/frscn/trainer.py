@@ -5,15 +5,21 @@ weight scale as one stacked batch, ranks every candidate by its xi score, and
 commits the best one that passes the xi inequality at some contraction level
 r of a fixed ladder (the best-of-pools rule of SC-III, Wang & Li 2017). One
 table of evaluate_xi's scores, every candidate at every rung, decides which
-candidates pass, at which r, and the xi each reports. The readout is refit
-globally after every accepted node, so the residual trace is non-increasing.
+candidates pass and at which r. A tanh batch is screened in float32; each
+candidate tried is rolled out again in float64, and that rollout, scored by
+the same table, is the one committed, with the r, mu and xi it reports. The
+global least-squares readout grows with the nodes: each tried node appends
+one column to an orthonormal basis of the design (classical Gram-Schmidt,
+reorthogonalized once), so the residual trace is non-increasing and the
+readout is solved only at the start and at the end.
 
 Echo-state control: instead of rescaling the whole feedback matrix after
 every acceptance (which would perturb already-accepted nodes' states and can
 push the refit residual back up), each candidate's feedback row is capped
 before screening so that the grown matrix keeps its largest singular value
-at or below alpha. Accepted nodes therefore behave exactly as screened,
-earlier state rows never change, and the trace is monotone by construction.
+at or below alpha. Accepted nodes therefore keep the states they were
+committed with, earlier state rows never change, and the trace is monotone
+by construction.
 A rule's states live only in its time-major design [u(t), 1, x(t-1)], its
 weights only in one store of rows in that column order: one product of the
 design with a batch of such rows screens a weight scale's candidates.
@@ -21,6 +27,7 @@ design with a batch of such rows screens a weight scale's candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +36,7 @@ from .dataset import TimeSeriesDataset
 from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value
 
 # Residual comparisons tolerate a relative slack of a few ulps so that the
-# monotonicity guard is not tripped by benign rounding in the refit.
+# monotonicity guard is not tripped by benign rounding in the residual update.
 _GUARD_RTOL = 1e-12
 # Candidate pools drawn at a weight scale, in order, and stacked into one batch
 # whose best candidate is judged; the smallest count that passes
@@ -41,6 +48,14 @@ _POOLS_PER_SCALE = 5
 # Top-ranked passing candidates kept per weight scale and tried, in xi order,
 # against the residual guard before the scale is raised.
 _MAX_ACCEPT_TRIES = 3
+# fit_readout's retry ridge for a rank-deficient design at ridge zero
+_FALLBACK_RIDGE = 1e-8
+# Activations screened in float32, each with the scalar function that rolls a
+# tried candidate out again in float64. A sigmoid state falls below float32's
+# range (about 1e-38) wherever its pre-activation is under about -87, where xi,
+# blind to scale, still ranks the candidate in float64. So sigmoid screens in
+# float64, and its screened states are the committed ones.
+_FLOAT32_SCREENS = {"tanh": math.tanh}
 
 
 @dataclass(frozen=True)
@@ -101,8 +116,14 @@ class TrainReport:
     residual_trace[0] is the residual F-norm after the initial readout fit;
     each later entry follows one accepted node. The trace is non-increasing.
     counters["pools_screened"] counts the candidate pools rolled out and
-    scored: _POOLS_PER_SCALE per weight scale tried. Near the edge of its rung,
-    a node's accepted_xi keeps only about 8 digits: xi's two terms cancel.
+    scored: _POOLS_PER_SCALE per weight scale tried. tanh pools are screened
+    in float32, so a screened candidate's states are not the committed bits:
+    each candidate tried is rolled out again in float64, and the rung, r, mu
+    and xi reported are those of the committed states (sigmoid screens in
+    float64 and commits its screened states). counters["screen_rung_moves"] counts
+    the tries whose float64 rung differs from the screened one; a try that
+    passes no rung in float64 is skipped. Near the edge of its rung, a node's
+    accepted_xi keeps only about 8 digits: xi's two terms cancel.
     """
 
     residual_trace: list = field(default_factory=list)
@@ -148,11 +169,19 @@ def _xi(proj: np.ndarray, energy: np.ndarray, r: float, mu: float) -> np.ndarray
 
 
 def _projections(e: np.ndarray, candidate_states) -> np.ndarray:
-    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0."""
-    s = np.atleast_2d(np.asarray(candidate_states, dtype=float))
+    """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0.
+
+    The products <e_q, g> run in the states' precision, float32 states in
+    float32, against e divided by the power of two that brings its largest
+    entry into [0.5, 1): exact, and safe from float32's range whatever e's
+    scale. They are squared and scaled back in float64.
+    """
+    s = np.atleast_2d(np.asarray(candidate_states))
+    s = s.astype(np.result_type(s.dtype, np.float32), copy=False)
+    scale = np.ldexp(1.0, np.frexp(np.abs(e).max(initial=0.0))[1])
     gg = np.einsum("ij,ij->i", s, s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        proj = (s @ e.T) ** 2 / gg[:, None]
+        proj = (s @ (e / scale).T.astype(s.dtype)).astype(float) ** 2 * scale**2 / gg[:, None]
     proj[gg <= 0.0] = -np.inf
     return proj
 
@@ -187,7 +216,7 @@ def fit_readout(
     """Least-squares readout over [states; inputs], post-washout columns only.
 
     Solved by SVD-backed lstsq. A rank-deficient system at ridge zero is
-    retried with ridge 1e-8; returns (w_out, fallback_used).
+    retried with ridge _FALLBACK_RIDGE; returns (w_out, fallback_used).
     """
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -208,7 +237,7 @@ def fit_readout(
     w_out, rank = solve(ridge)
     fallback = False
     if ridge == 0.0 and rank < n_feat:
-        w_out, _ = solve(1e-8)
+        w_out, _ = solve(_FALLBACK_RIDGE)
         fallback = True
     return w_out, fallback
 
@@ -247,24 +276,26 @@ def _draw_pool(rng, cfg, lam, k, budget, out):
 
 
 def _candidate_states(cands, activation, design, work):
-    """States of every candidate of a batch: a T x G view of work.
+    """States of every candidate of a batch: a T x G view of work, in its dtype.
 
     Row i of cands (G x K + 2 + n) holds candidate i's weights in the
     design's column order, its own feedback weight last. design is the
     rule's time-major [u(t), 1, x(t-1)] (T x at least K + 1 + n), so one
     product of its first K + 1 + n columns with all but the batch's last
     column gives every candidate's pre-activations; the candidates then
-    advance together in one loop over time. Exact under triangularity: a new
-    node reads only the accepted nodes' states plus its own previous state,
-    so no full re-rollout is needed during screening. The view is valid
-    until the next call.
+    advance together in one loop over time. The product and the loop run in
+    work's dtype, to which both operands are cast. Exact under triangularity:
+    a new node reads only the accepted nodes' states plus its own previous
+    state, so no full re-rollout is needed during screening. The view is
+    valid until the next call.
     """
     g = ACTIVATIONS[activation]
-    weights = cands[:, :-1]
-    out = np.matmul(design[:, :weights.shape[1]], weights.T, out=work[:, :weights.shape[0]])
-    self_w = cands[:, -1].copy()  # contiguous: read at every step
-    x = np.zeros(out.shape[1])
-    buf = np.empty(out.shape[1])
+    weights = cands[:, :-1].astype(work.dtype)
+    out = np.matmul(design[:, :weights.shape[1]].astype(work.dtype), weights.T,
+                    out=work[:, :weights.shape[0]])
+    self_w = cands[:, -1].astype(work.dtype)  # contiguous: read at every step
+    x = np.zeros(out.shape[1], work.dtype)
+    buf = np.empty(out.shape[1], work.dtype)
     # each step overwrites its pre-activation row with the states it produces;
     # sigmoid's exp(-x) overflows to a 0 state
     with np.errstate(over="ignore"):
@@ -273,6 +304,97 @@ def _candidate_states(cands, activation, design, work):
             buf += row
             x = g(buf, out=row)
     return out
+
+
+def _candidate_rollout(cand, g, design, out) -> None:
+    """One candidate's states in float64 under the scalar activation g, into out (length T).
+
+    cand and design are as in _candidate_states: one product of the design
+    with the candidate's row, then its scalar recurrence, stepped in Python
+    floats (a width-1 numpy loop costs about 15 times as much).
+    """
+    w = float(cand[-1])
+    x = 0.0
+    states = []
+    for p in (design[:, :len(cand) - 1] @ cand[:-1]).tolist():
+        x = g(w * x + p)
+        states.append(x)
+    out[:] = states
+
+
+def _ridge_basis(features, ridge, n_rows):
+    """Orthonormal basis of the ridge-augmented design, one vector per row.
+
+    features is T' x m. The augmented design is features over sqrt(ridge) I,
+    zero-padded to n_rows rows: the least-squares readout at that ridge
+    leaves the zero-padded targets' component orthogonal to its span.
+    """
+    t_len, m = features.shape
+    a = np.zeros((n_rows, m))
+    a[:t_len] = features
+    a[t_len : t_len + m] = math.sqrt(ridge) * np.eye(m)
+    return np.linalg.qr(a)[0].T
+
+
+class _QrReadout:
+    """A rule's least-squares readout residual, grown by appending design columns to a QR basis.
+
+    Row j of basis is the j-th orthonormal vector of the post-washout design
+    [states, inputs] over sqrt(ridge) I (design column j has sqrt(ridge) in
+    row t_len + j), zero-padded to t_len + capacity entries. resid is the
+    targets' residual against their span over the same rows (L x those
+    rows); its first t_len columns are the readout's error on the series.
+    """
+
+    def __init__(self, features, targets, ridge, capacity, w_out, resid):
+        """features (T' x m) and the fit (w_out, its data residual) at ridge."""
+        t_len, m = features.shape
+        self.target = np.zeros((len(targets), t_len + capacity))
+        self.target[:, :t_len] = targets
+        self.basis = np.zeros((capacity, t_len + capacity))
+        self.basis[:m] = _ridge_basis(features, ridge, t_len + capacity)
+        self.resid = np.zeros_like(self.target)
+        self.resid[:, :t_len] = resid
+        self.resid[:, t_len : t_len + m] = -math.sqrt(ridge) * w_out
+        self.t_len, self.m, self.ridge = t_len, m, ridge
+        self.design_sq = float(np.sum(features**2))  # squared F-norm, >= sigma_max^2
+
+    def append(self, column, features):
+        """Try column (length T') as design column m: returns the data residual's
+        F-norm with it and a function that keeps it.
+
+        The column is orthogonalized by classical Gram-Schmidt, reorthogonalized
+        once, and the residual e loses its projection (e q) q on the new vector.
+        At ridge zero, a column left below lstsq's rank threshold (confirmed by
+        lstsq's own rule, on features(), the design with the column) takes
+        fit_readout's fallback: the basis is rebuilt at _FALLBACK_RIDGE, and a
+        kept column leaves the rule there.
+        """
+        t_len, m, basis = self.t_len, self.m, self.basis[: self.m]
+        col = np.zeros(basis.shape[1])
+        col[:t_len] = column
+        col[t_len + m] = math.sqrt(self.ridge)
+        col_sq = column @ column
+        for _ in range(2):
+            col -= (basis @ col) @ basis
+        norm = np.linalg.norm(col)
+        # lstsq's threshold, at the Frobenius bound on sigma_max
+        threshold = np.finfo(float).eps * max(t_len, m + 1) * math.sqrt(self.design_sq + col_sq)
+        if self.ridge == 0.0 and norm <= threshold and np.linalg.matrix_rank(features()) < m + 1:
+            ridge, first = _FALLBACK_RIDGE, 0
+            rows = _ridge_basis(features(), ridge, len(col))
+            resid = self.target - (self.target @ rows.T) @ rows
+        else:
+            ridge, first = self.ridge, m
+            rows = col / norm
+            resid = self.resid - np.outer(self.resid @ rows, rows)
+
+        def keep():
+            self.basis[first : m + 1] = rows
+            self.resid, self.m, self.ridge = resid, m + 1, ridge
+            self.design_sq += col_sq
+
+        return float(np.linalg.norm(resid[:, :t_len])), keep
 
 
 def train_sub_reservoir(
@@ -286,24 +408,27 @@ def train_sub_reservoir(
     Starts from min(initial_size, n_max) randomly assigned nodes at the
     smallest weight scale. Each further node tries the weight scales in
     order. At a scale, _POOLS_PER_SCALE pools of g_max candidates are drawn,
-    stacked into one batch, rolled out and ranked by their xi sums, whose
-    order does not depend on r. One table holds evaluate_xi's scores of the
-    batch at every rung of the r ladder (_r_ladder). The top
-    _MAX_ACCEPT_TRIES candidates that pass at some rung are tried in xi
-    order, each at the smallest rung it passes; the first whose global
-    readout refit does not raise the residual is accepted, with the r, mu and
-    xi of its rung in the table. The next scale is tried only when no
-    candidate passes or every try fails that guard. Growth stops at
-    tolerance, at n_max, or when every scale fails ("no-candidate").
-    Candidate feedback rows are norm-capped up front so the grown matrix
-    never exceeds the alpha singular-value budget; the screened states are
-    therefore exactly the committed states and no re-rollout is needed.
+    stacked into one batch, rolled out (in float32 for tanh) and ranked by
+    their xi sums, whose order does not depend on r. One table holds
+    evaluate_xi's scores of the batch at every rung of the r ladder
+    (_r_ladder). The top _MAX_ACCEPT_TRIES candidates that pass at some rung
+    are tried in xi order. A float32-screened try is rolled out again in
+    float64. The same table, on a try's float64 states, gives its smallest
+    passing rung; a try that passes none is skipped. The first try whose
+    readout does not raise the residual is accepted, with the r, mu and xi
+    of its float64 rung. The next scale is tried only when no
+    candidate passes or every try fails. Growth stops at tolerance, at
+    n_max, or when every scale fails ("no-candidate"). Candidate feedback
+    rows are norm-capped up front so the grown matrix never exceeds the
+    alpha singular-value budget: no accepted node is rolled out again.
 
     The rule's states live only in its design (T + 1 x K + 1 + n_max). Its
     first T rows give a scale's batch its pre-activations in one product;
-    each try writes its states into the next state column for the refit.
-    Its weights live in one store whose row i is node i's [w_in, b, w_r row];
-    an accepted candidate's batch row becomes the next row.
+    each try writes its float64 states into the next state column. Its
+    weights live in one store whose row i is node i's [w_in, b, w_r row];
+    an accepted candidate's batch row becomes the next row. From the first
+    fit_readout on, _QrReadout keeps the readout's residual as tries append
+    their columns; w_out is solved by fit_readout once more, at the end.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, with the r and mu the candidate was accepted at, for
     instrumentation.
@@ -321,8 +446,8 @@ def train_sub_reservoir(
     w_in, b, w_r = weights[:, :k], weights[:, k], weights[:, k + 1 :]
 
     def reservoir(n, w_out=None):
-        return SubReservoir(w_in=w_in[:n].copy(), w_r=w_r[:n, :n].copy(), b=b[:n].copy(),
-                            w_out=w_out, activation=cfg.activation, alpha=cfg.alpha)
+        return SubReservoir(w_in=w_in[:n], w_r=w_r[:n, :n], b=b[:n], w_out=w_out,
+                            activation=cfg.activation, alpha=cfg.alpha)
 
     lam0 = cfg.lambda_grid[0]
     n = min(cfg.initial_size, cfg.n_max)
@@ -342,7 +467,8 @@ def train_sub_reservoir(
     design[:-1, k] = 1.0
     nodes = design[1:, k + 1 :]
     nodes[:, :n] = reservoir(n).rollout(u).T
-    work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max))
+    work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max),
+                    np.float32 if cfg.activation in _FLOAT32_SCREENS else np.float64)
 
     report = TrainReport()
     w_out, fallback = fit_readout(nodes[:, :n].T, u, t, cfg.ridge, washout)
@@ -351,8 +477,13 @@ def train_sub_reservoir(
     resid_mat, resid = _residual(w_out, nodes[:, :n].T, u, t, washout)
     report.residual_trace.append(resid)
 
+    def features(n_nodes):  # the post-washout design [states, inputs], T' x n_nodes + K
+        return np.hstack([nodes[washout:, :n_nodes], u[:, washout:].T])
+
+    readout = _QrReadout(features(n), t[:, washout:], _FALLBACK_RIDGE if fallback else cfg.ridge,
+                         k + cfg.n_max, w_out, resid_mat)
     ladder = _r_ladder(cfg.r_schedule)
-    counters = report.counters = {"pools_screened": 0}
+    counters = report.counters = {"pools_screened": 0, "screen_rung_moves": 0}
     while resid > cfg.epsilon and n < cfg.n_max:
         # Feedback-row budget keeping sigma_max of the grown matrix <= alpha:
         # ||G x||^2 <= (sigma_max^2 + ||row||^2) ||x||^2 for an appended row.
@@ -366,41 +497,52 @@ def train_sub_reservoir(
             cands = _candidate_states(batch, cfg.activation, design[:-1], work)
             proj = _projections(resid_mat, cands[washout:].T)
             keys = proj.sum(axis=1)
-            xi_sums, rungs = _xi_table(resid_mat, proj, ladder, n)
+            rungs = _xi_table(resid_mat, proj, ladder, n)[1]
             passing = np.flatnonzero(rungs < len(ladder))
             # a stable sort: of equal keys, the earlier draw stays first
             for idx in passing[np.argsort(-keys[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]:
-                nodes[:, n] = cands[:, idx]  # a rejected try's column is overwritten or unread
-                w_try, fallback = fit_readout(nodes[:, : n + 1].T, u, t, cfg.ridge, washout)
-                new_resid_mat, new_resid = _residual(w_try, nodes[:, : n + 1].T, u, t, washout)
+                # a skipped or rejected try's column is overwritten or unread
+                if work.dtype == np.float64:
+                    nodes[:, n] = cands[:, idx]
+                else:
+                    _candidate_rollout(batch[idx], _FLOAT32_SCREENS[cfg.activation], design[:-1],
+                                       nodes[:, n])
+                proj_try = _projections(resid_mat, nodes[washout:, n])
+                xi_sums, (rung,) = _xi_table(resid_mat, proj_try, ladder, n)
+                counters["screen_rung_moves"] += int(rung != rungs[idx])
+                if rung == len(ladder):
+                    continue
+                new_resid, keep = readout.append(nodes[washout:, n], lambda: features(n + 1))
                 if new_resid <= resid * (1.0 + _GUARD_RTOL):
                     break
                 report.guard_rejections += 1
             else:
-                continue  # no candidate at this scale passed both the screen and the guard
+                continue  # no candidate at this scale passed the screen, the check and the guard
             break
         else:
             report.stop_reason = "no-candidate"
             break
-        r = ladder[rungs[idx]]
+        r = ladder[rung]
         mu = (1.0 - r) / (n + 1)
         if accept_hook is not None:
             accept_hook(resid_mat.copy(), nodes[washout:, n].copy(), r, mu)
-        if fallback:
+        keep()
+        if readout.ridge != cfg.ridge:
             report.ridge_fallbacks.append(n + 1)
         weights[n, : k + 2 + n] = batch[idx]
         n += 1
         smax = max_singular_value(w_r[:n, :n])
-        w_out = w_try
-        resid_mat, resid = new_resid_mat, new_resid
+        resid = new_resid
+        resid_mat = readout.resid[:, : readout.t_len]
         report.residual_trace.append(resid)
         report.accepted_lambda.append(lam)
-        report.accepted_xi.append(float(xi_sums[rungs[idx], idx]))
+        report.accepted_xi.append(float(xi_sums[rung, 0]))
         report.accepted_r.append(r)
 
     if not report.stop_reason:
         report.stop_reason = "tolerance" if resid <= cfg.epsilon else "size-cap"
     report.n_nodes = n
+    w_out, _ = fit_readout(nodes[:, :n].T, u, t, cfg.ridge, washout)
 
     from .evaluation import nrmse  # deferred: evaluation depends on model
     from .errors import UndefinedMetricError

@@ -58,3 +58,35 @@ def test_weights_digest_changes_with_any_weight_bit():
         arr = getattr(bumped.sub_reservoirs[0], name).reshape(-1)
         arr[-1] = np.nextafter(arr[-1], np.inf)
         assert gate.weights_digest(bumped) != digest, name
+
+
+def test_reservoir_digest_leaves_out_only_the_readouts():
+    rng = np.random.default_rng(3)
+    res = SimpleNamespace(w_in=rng.normal(size=(3, 2)), w_r=np.tril(rng.normal(size=(3, 3))),
+                          b=rng.normal(size=3), w_out=rng.normal(size=(1, 5)))
+    bank = SimpleNamespace(centers=rng.normal(size=(1, 2)), widths=np.ones((1, 2)))
+    model = SimpleNamespace(rule_bank=bank, sub_reservoirs=(res,))
+    digest = gate.weights_digest(model, readouts=False)
+    assert digest != gate.weights_digest(model)
+    for name in ("w_in", "w_r", "b", "w_out"):
+        bumped = copy.deepcopy(model)
+        arr = getattr(bumped.sub_reservoirs[0], name).reshape(-1)
+        arr[-1] = np.nextafter(arr[-1], np.inf)
+        assert (gate.weights_digest(bumped, readouts=False) == digest) == (name == "w_out"), name
+
+
+def test_report_counts_identical_models_and_reservoirs(tmp_path, monkeypatch, capsys):
+    for name in ("base", "change"):
+        (tmp_path / name / "frscn").mkdir(parents=True)
+    scores = {"train": [0.01, 0.01], "test": [[0.02] * len(gate.TEST_SEQUENCES)] * 2, "seconds": [1.0, 1.0]}
+    runs = {
+        str(tmp_path / "base"): dict(scores, digest=["a", "b"], reservoir_digest=["r", "s"]),
+        # the second seed keeps its reservoirs but moves its readout
+        str(tmp_path / "change"): dict(scores, digest=["a", "c"], reservoir_digest=["r", "s"]),
+    }
+    monkeypatch.setattr(gate, "run_tree", lambda src, seeds, n_max: copy.deepcopy(runs[src]))
+    assert gate.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+                      "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["byte-identical model weights: 1 of 2 seeds",
+                          "byte-identical reservoirs: 2 of 2 seeds"]

@@ -53,6 +53,21 @@ class TestGrow:
         after = grown.rollout(u)
         assert np.array_equal(after[:4], before)
 
+    def test_holds_its_own_arrays(self):
+        # a caller's later write into its arrays cannot reach a validated reservoir
+        w_in, w_r = np.ones((2, 1)), np.array([[0.5, 0.0], [0.1, 0.2]])
+        b, w_out = np.zeros(2), np.ones((1, 3))
+        res = SubReservoir(w_in=w_in, w_r=w_r, b=b, w_out=w_out)
+        w_in[0, 0] = w_out[0, 0] = 3.0
+        w_r[0, 1] = 7.0
+        b[0] = np.nan
+        assert res.w_in.tolist() == [[1.0], [1.0]]
+        assert res.w_r.tolist() == [[0.5, 0.0], [0.1, 0.2]]
+        assert res.b.tolist() == [0.0, 0.0]
+        assert res.w_out.tolist() == [[1.0, 1.0, 1.0]]
+        for mine, theirs in ((res.w_in, w_in), (res.w_r, w_r), (res.b, b), (res.w_out, w_out)):
+            assert not np.shares_memory(mine, theirs)
+
     def test_triangular_enforced_at_construction(self):
         bad = np.array([[0.1, 0.5], [0.2, 0.3]])
         with pytest.raises(ValueError):

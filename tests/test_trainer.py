@@ -209,6 +209,21 @@ class TestTrainSubReservoir:
         e = plant_train.targets[:, w:] - readout(res, states, plant_train.inputs)[:, w:]
         assert np.linalg.norm(e) == pytest.approx(rep.residual_trace[-1], rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [2.0**100, 2.0**400])
+    def test_growth_does_not_depend_on_the_targets_scale(self, plant_train, scale):
+        # a power-of-two scale is exact in every product, the float32 screen's too
+        cfg = ScConfig(n_max=15)
+        ref, rep_ref = train_sub_reservoir(plant_train, cfg, seed=0)
+        scaled = TimeSeriesDataset(plant_train.inputs, plant_train.targets * scale,
+                                   washout=plant_train.washout)
+        res, rep = train_sub_reservoir(scaled, cfg, seed=0)
+        for field in ("w_in", "w_r", "b"):
+            assert np.array_equal(getattr(res, field), getattr(ref, field))
+        assert rep.accepted_r == rep_ref.accepted_r
+        np.testing.assert_allclose(res.w_out, ref.w_out * scale, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.residual_trace, np.array(rep_ref.residual_trace) * scale,
+                                   rtol=1e-12)
+
     def test_echo_state_bound_maintained(self, plant_train):
         res, _ = train_sub_reservoir(plant_train, ScConfig(n_max=25, alpha=0.9), seed=7)
         assert np.linalg.svd(res.w_r, compute_uv=False)[0] <= 0.9 + 1e-9
@@ -302,12 +317,17 @@ class TestBatchedScreening:
         assert not np.isnan(batch).any()
         # columns past K + 1 + n and past the batch's width must never be read
         design = design_of(u, states, n_inputs + 1 + n_nodes + 3)
-        work = np.full((n_steps, 5 * g_max), np.nan)
-        cands = trainer._candidate_states(batch, activation, design, work)
-        assert cands.shape == (n_steps, n_pools * g_max)
         reference = np.hstack([scalar_candidate_states(res, pool, u, states)
                                for pool in np.split(batch, n_pools)])
-        np.testing.assert_allclose(cands, reference, rtol=0, atol=1e-12)
+        # a float32 workspace rounds each pre-activation, of size up to about
+        # lam, to about 6e-8 of it, and the contracting recurrence keeps the
+        # states within 2e-6 max(lam, 1) (at most 9.5e-6 at lam = 100 over 300
+        # random cases)
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 2e-6 * max(lam, 1.0))):
+            work = np.full((n_steps, 5 * g_max), np.nan, dtype)
+            cands = trainer._candidate_states(batch, activation, design, work)
+            assert cands.shape == (n_steps, n_pools * g_max) and cands.dtype == dtype
+            np.testing.assert_allclose(cands, reference, rtol=0, atol=atol)
 
     @pytest.mark.parametrize(
         "kwargs, seed, stop_reason",
@@ -359,6 +379,8 @@ class TestBatchedScreening:
             ({"n_max": 5, "initial_size": 5}, 0),
             # rejects tries at the guard, whose columns must not reach the committed states
             ({"n_max": 20, "ridge": 1e-6}, 3),
+            # node 8's column leaves the design rank-deficient: the rank fallback
+            ({"n_max": 20, "activation": "sigmoid", "lambda_grid": (1000.0,)}, 4),
         ],
     )
     def test_design_holds_the_committed_states(self, plant_train, monkeypatch, kwargs, seed):
@@ -381,11 +403,12 @@ class TestBatchedScreening:
         res, rep = train_sub_reservoir(plant_train, cfg, seed=seed)
         if cfg.ridge > 0:
             assert rep.guard_rejections >= 1
+        if cfg.lambda_grid == (1000.0,):
+            assert rep.ridge_fallbacks[0] > cfg.initial_size
         rollout = res.rollout(u)
-        # the last refit over the final node count is the committed one; a
-        # guard-rejected try has one node more
-        committed = [s for s in fitted if s.shape[0] == res.n_nodes][-1]
-        np.testing.assert_allclose(committed, rollout, rtol=0, atol=1e-12)
+        # the readout is fit twice, at the start and, on the committed states, at the end
+        assert len(fitted) == 2
+        np.testing.assert_allclose(fitted[-1], rollout, rtol=0, atol=1e-12)
         if cfg.initial_size == cfg.n_max:
             assert designs == []
         for n, design in designs:
@@ -440,7 +463,72 @@ class TestBatchedScreening:
         scales = sum(cfg.lambda_grid.index(lam) + 1 for lam in rep.accepted_lambda)
         if rep.stop_reason == "no-candidate":
             scales += len(cfg.lambda_grid)
-        assert rep.counters == {"pools_screened": trainer._POOLS_PER_SCALE * scales}
+        assert set(rep.counters) == {"pools_screened", "screen_rung_moves"}
+        assert rep.counters["pools_screened"] == trainer._POOLS_PER_SCALE * scales
+
+    def test_a_try_failing_its_float64_check_is_skipped(self, plant_train, monkeypatch):
+        cfg = ScConfig(n_max=8)
+        n0 = cfg.initial_size
+        ref, rep_ref = train_sub_reservoir(plant_train, cfg, seed=9)
+        rollout, failed = trainer._candidate_rollout, []
+
+        def first_try_fails(cand, g, design, out):
+            rollout(cand, g, design, out)
+            if not failed:  # a zero state passes no rung
+                failed.append(cand.copy())
+                out[:] = 0.0
+
+        monkeypatch.setattr(trainer, "_candidate_rollout", first_try_fails)
+        res, rep = train_sub_reservoir(plant_train, cfg, seed=9)
+
+        def first_node(r):
+            return np.concatenate([r.w_in[n0], [r.b[n0]], r.w_r[n0, : n0 + 1]])
+
+        # unchecked, the screen's top candidate is the first node; checked, it is skipped
+        assert np.array_equal(first_node(ref), failed[0])
+        assert not np.array_equal(first_node(res), failed[0])
+        assert rep_ref.counters["screen_rung_moves"] == 0
+        assert rep.counters["screen_rung_moves"] == 1
+        assert rep.accepted_lambda[0] == rep_ref.accepted_lambda[0]
+        assert rep.guard_rejections == 0
+
+
+class TestQrReadout:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"ridge": 1e-6},
+            {"ridge": 1.0},
+            {"activation": "sigmoid"},
+            # rank-deficient designs: fit_readout's fallback ridge
+            {"activation": "sigmoid", "lambda_grid": (1000.0,)},
+        ],
+    )
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_appended_residual_matches_a_fresh_fit(self, plant_train, kwargs, seed):
+        cfg = ScConfig(n_max=15, **kwargs)
+        before = []
+        res, rep = train_sub_reservoir(plant_train, cfg, seed=seed,
+                                       accept_hook=lambda e, g, r, mu: before.append(e))
+        u, t, w = plant_train.inputs, plant_train.targets, plant_train.washout
+        states = res.rollout(u)
+        n0 = res.n_nodes - len(rep.accepted_r)
+        for n, norm_qr, e_qr in zip(range(n0, res.n_nodes + 1), rep.residual_trace, before + [None]):
+            w_out, fallback = fit_readout(states[:n], u, t, cfg.ridge, w)
+            e, norm = trainer._residual(w_out, states[:n], u, t, w)
+            assert (n in rep.ridge_fallbacks) == fallback
+            # first-order least-squares perturbation: the residual is computed to
+            # about eps cond(A) ||t||, for A the design over sqrt(ridge) I at the
+            # fit's ridge; lstsq's own error dominates
+            d = np.vstack([states[:n], u])[:, w:].T
+            ridge = trainer._FALLBACK_RIDGE if fallback else cfg.ridge
+            cond = np.linalg.cond(np.vstack([d, np.sqrt(ridge) * np.eye(d.shape[1])]))
+            tol = 10 * np.finfo(float).eps * cond * np.linalg.norm(t[:, w:])
+            assert abs(norm_qr - norm) <= tol
+            if e_qr is not None:
+                assert np.linalg.norm(e_qr - e) <= tol
 
 
 class TestLadderRungs:

@@ -15,9 +15,11 @@ on four test sequences of 1000 samples: ``paper-test`` at seed 0 and
 The statistic, per seed, is the mean over the four sequences of
 log(NRMSE_change / NRMSE_base). The tool prints the median of that
 statistic over the seeds with a seeded bootstrap 90% confidence interval,
-next to the median train and test NRMSE of both trees, and counts the seeds
-whose models have byte-identical weights in the two trees, so that a
-refactor can cite byte identity from the same run as its verdict.
+next to the median train and test NRMSE of both trees. It counts the seeds
+whose models have byte-identical weights in the two trees, and those whose
+reservoirs (the weights without the readouts) are byte-identical, so that a
+refactor can cite byte identity from the same run as its verdict, and a
+change that keeps every selection but moves readout bits can show it.
 
 Decision rule: the change passes iff the upper end of the 90% CI is at most
 log 1.05, i.e. the data rule out, at that level, a median test-NRMSE increase
@@ -81,12 +83,12 @@ def decide(base_test: np.ndarray, change_test: np.ndarray) -> dict:
             "passes": bool(hi <= PASS_LOG_RATIO)}
 
 
-def weights_digest(model) -> str:
+def weights_digest(model, readouts: bool = True) -> str:
     """SHA-256 over the shapes and bytes of the rule bank's centers and widths
-    and each sub-reservoir's w_in, w_r, b and w_out, in rule order."""
+    and each sub-reservoir's w_in, w_r, b and, with readouts, w_out, in rule order."""
     arrays = [model.rule_bank.centers, model.rule_bank.widths]
     for res in model.sub_reservoirs:
-        arrays += [res.w_in, res.w_r, res.b, res.w_out]
+        arrays += [res.w_in, res.w_r, res.b] + ([res.w_out] if readouts else [])
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(repr(a.shape).encode() + a.tobytes())
@@ -100,12 +102,13 @@ def score_tree(seeds: int, n_max: int) -> dict:
     train = generate_plant_sequence(TRAIN_SAMPLES, "train-random", seed=1, washout=WASHOUT)
     tests = [generate_plant_sequence(TEST_SAMPLES, mode, seed=s, washout=WASHOUT)
              for mode, s in TEST_SEQUENCES]
-    out = {"train": [], "test": [], "seconds": [], "digest": []}
+    out = {"train": [], "test": [], "seconds": [], "digest": [], "reservoir_digest": []}
     for seed in range(seeds):
         started = time.perf_counter()
         model, _ = train_frscn(train, q=Q, sc_cfg=ScConfig(n_max=n_max), seed=seed)
         out["seconds"].append(time.perf_counter() - started)
         out["digest"].append(weights_digest(model))
+        out["reservoir_digest"].append(weights_digest(model, readouts=False))
         out["train"].append(nrmse(predict(model, train.inputs), train.targets, WASHOUT))
         out["test"].append([nrmse(predict(model, ds.inputs), ds.targets, WASHOUT) for ds in tests])
     return out
@@ -153,8 +156,9 @@ def main(argv=None) -> int:
         print(f"{name:6s} {getattr(args, name)}: {args.seeds} seeds in {run['wall_s']:.1f} s "
               f"({np.mean(run['seconds']):.2f} s / model), median train NRMSE "
               f"{np.median(run['train']):.5f}, median test NRMSE {np.median(run['test']):.5f}")
-    same = sum(a == b for a, b in zip(runs["base"]["digest"], runs["change"]["digest"]))
-    print(f"byte-identical model weights: {same} of {args.seeds} seeds")
+    for key, what in (("digest", "model weights"), ("reservoir_digest", "reservoirs")):
+        same = sum(a == b for a, b in zip(runs["base"][key], runs["change"][key]))
+        print(f"byte-identical {what}: {same} of {args.seeds} seeds")
     lo, hi = verdict["ci"]
     print(f"median log(NRMSE change / base) {verdict['median_log_ratio']:+.4f}, "
           f"{CI_LEVEL:.0%} CI [{lo:+.4f}, {hi:+.4f}], pass iff upper <= {PASS_LOG_RATIO:+.4f}: "
