@@ -23,7 +23,7 @@ from .reservoir import (ACTIVATIONS, LIPSCHITZ, SubReservoir, max_singular_value
                         recurrence_step, run_recurrence)
 # train_sub_reservoir runs in the rule workers (growth.py); the benchmark's
 # tracer wraps it in this module by name.
-from .trainer import ScConfig, fit_readout, train_sub_reservoir  # noqa: F401
+from .trainer import ScConfig, check_reservoir_settings, fit_readout, train_sub_reservoir  # noqa: F401
 
 MODEL_FORMAT_VERSION = "frscn-1"
 
@@ -42,15 +42,7 @@ class EsnConfig:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        lo, hi = self.sparsity_range
-        if not (0 < lo <= hi < 1):
-            raise ValueError("sparsity_range must satisfy 0 < lo <= hi < 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_reservoir_settings(self)
         if self.weight_scale <= 0:
             raise ValueError("weight_scale must be positive")
 
@@ -532,19 +524,11 @@ def load_model(path) -> FrscnModel:
             target_max=np.asarray(norm["target_max"], dtype=float),
             enabled=bool(norm["enabled"]),
         )
-        bank = FuzzyRuleBank(
-            centers=np.asarray(doc["rule_bank"]["centers"], dtype=float),
-            widths=np.asarray(doc["rule_bank"]["widths"], dtype=float),
-        )
+        # both constructors convert their arrays to float themselves
+        bank = FuzzyRuleBank(centers=doc["rule_bank"]["centers"], widths=doc["rule_bank"]["widths"])
         reservoirs = tuple(
-            SubReservoir(
-                w_in=np.asarray(r["w_in"], dtype=float),
-                w_r=np.asarray(r["w_r"], dtype=float),
-                b=np.asarray(r["b"], dtype=float),
-                w_out=np.asarray(r["w_out"], dtype=float),
-                activation=r["activation"],
-                alpha=float(r["alpha"]),
-            )
+            SubReservoir(w_in=r["w_in"], w_r=r["w_r"], b=r["b"], w_out=r["w_out"],
+                         activation=r["activation"], alpha=float(r["alpha"]))
             for r in doc["sub_reservoirs"]
         )
         return FrscnModel(

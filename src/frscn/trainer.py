@@ -10,8 +10,8 @@ candidate tried is rolled out again in float64, and that rollout, scored by
 the same table, is the one committed, with the r, mu and xi it reports. The
 global least-squares readout grows with the nodes: each tried node appends
 one column to an orthonormal basis of the design (classical Gram-Schmidt,
-reorthogonalized once), so the residual trace is non-increasing and the
-readout is solved only at the start and at the end.
+reorthogonalized once), so the residual trace is non-increasing. The basis
+also makes the initial fit, and the readout is solved once, at the end.
 
 Echo-state control: instead of rescaling the whole feedback matrix after
 every acceptance (which would perturb already-accepted nodes' states and can
@@ -93,20 +93,25 @@ class ScConfig:
         sched = tuple(float(v) for v in self.r_schedule)
         if not sched or any(not 0 < v < 1 for v in sched) or list(sched) != sorted(sched):
             raise ValueError("r_schedule must be ascending values in (0, 1)")
-        lo, hi = self.sparsity_range
-        if not (0 < lo <= hi < 1):
-            raise ValueError("sparsity_range must satisfy 0 < lo <= hi < 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
         if self.initial_size < 1:
             raise ValueError("initial_size must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_reservoir_settings(self)
         object.__setattr__(self, "lambda_grid", grid)
         object.__setattr__(self, "r_schedule", sched)
-        object.__setattr__(self, "sparsity_range", (float(lo), float(hi)))
+        object.__setattr__(self, "sparsity_range", tuple(float(v) for v in self.sparsity_range))
+
+
+def check_reservoir_settings(cfg):
+    """Check the settings that ScConfig and model.EsnConfig share."""
+    lo, hi = cfg.sparsity_range
+    if not (0 < lo <= hi < 1):
+        raise ValueError("sparsity_range must satisfy 0 < lo <= hi < 1")
+    if not 0 < cfg.alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    if cfg.ridge < 0:
+        raise ValueError("ridge must be >= 0")
+    if cfg.activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {cfg.activation!r}")
 
 
 @dataclass
@@ -122,8 +127,9 @@ class TrainReport:
     and xi reported are those of the committed states (sigmoid screens in
     float64 and commits its screened states). counters["screen_rung_moves"] counts
     the tries whose float64 rung differs from the screened one; a try that
-    passes no rung in float64 is skipped. Near the edge of its rung, a node's
-    accepted_xi keeps only about 8 digits: xi's two terms cancel.
+    passes no rung in float64 is skipped. Near the edge of its rung, xi's two
+    terms cancel, so accepted_xi keeps few digits: 2-3 for sigmoid rules, and a
+    rounding-level change in the residual has moved tanh values by up to 2.4e-5.
     """
 
     residual_trace: list = field(default_factory=list)
@@ -242,12 +248,6 @@ def fit_readout(
     return w_out, fallback
 
 
-def _residual(w_out, states, inputs, targets, washout):
-    design = np.vstack([states, np.atleast_2d(inputs)])[:, washout:]
-    e = np.atleast_2d(targets)[:, washout:] - w_out @ design
-    return e, float(np.linalg.norm(e))
-
-
 def _masked_uniform(rng, lam, shape, density):
     """Uniform [-lam, lam] draw with entries zeroed at probability 1 - density."""
     vals = rng.uniform(-lam, lam, shape)
@@ -322,20 +322,6 @@ def _candidate_rollout(cand, g, design, out) -> None:
     out[:] = states
 
 
-def _ridge_basis(features, ridge, n_rows):
-    """Orthonormal basis of the ridge-augmented design, one vector per row.
-
-    features is T' x m. The augmented design is features over sqrt(ridge) I,
-    zero-padded to n_rows rows: the least-squares readout at that ridge
-    leaves the zero-padded targets' component orthogonal to its span.
-    """
-    t_len, m = features.shape
-    a = np.zeros((n_rows, m))
-    a[:t_len] = features
-    a[t_len : t_len + m] = math.sqrt(ridge) * np.eye(m)
-    return np.linalg.qr(a)[0].T
-
-
 class _QrReadout:
     """A rule's least-squares readout residual, grown by appending design columns to a QR basis.
 
@@ -346,18 +332,28 @@ class _QrReadout:
     rows); its first t_len columns are the readout's error on the series.
     """
 
-    def __init__(self, features, targets, ridge, capacity, w_out, resid):
-        """features (T' x m) and the fit (w_out, its data residual) at ridge."""
+    def __init__(self, features, targets, ridge, capacity):
+        """The fit of targets (L x T') on features (T' x m) at ridge; at ridge zero,
+        features that lstsq's rank rule finds deficient take _FALLBACK_RIDGE."""
         t_len, m = features.shape
         self.target = np.zeros((len(targets), t_len + capacity))
         self.target[:, :t_len] = targets
         self.basis = np.zeros((capacity, t_len + capacity))
-        self.basis[:m] = _ridge_basis(features, ridge, t_len + capacity)
-        self.resid = np.zeros_like(self.target)
-        self.resid[:, :t_len] = resid
-        self.resid[:, t_len : t_len + m] = -math.sqrt(ridge) * w_out
+        if ridge == 0.0 and np.linalg.matrix_rank(features) < m:
+            ridge = _FALLBACK_RIDGE
+        self.basis[:m], self.resid = self._fit(features, ridge)
         self.t_len, self.m, self.ridge = t_len, m, ridge
         self.design_sq = float(np.sum(features**2))  # squared F-norm, >= sigma_max^2
+
+    def _fit(self, features, ridge):
+        """(basis rows, resid) at ridge, from scratch: a Householder QR of features
+        (T' x m) over sqrt(ridge) I, zero-padded, and the targets' projection on it."""
+        t_len, m = features.shape
+        a = np.zeros((self.basis.shape[1], m))
+        a[:t_len] = features
+        a[t_len : t_len + m] = math.sqrt(ridge) * np.eye(m)
+        rows = np.linalg.qr(a)[0].T
+        return rows, self.target - (self.target @ rows.T) @ rows
 
     def append(self, column, features):
         """Try column (length T') as design column m: returns the data residual's
@@ -382,8 +378,7 @@ class _QrReadout:
         threshold = np.finfo(float).eps * max(t_len, m + 1) * math.sqrt(self.design_sq + col_sq)
         if self.ridge == 0.0 and norm <= threshold and np.linalg.matrix_rank(features()) < m + 1:
             ridge, first = _FALLBACK_RIDGE, 0
-            rows = _ridge_basis(features(), ridge, len(col))
-            resid = self.target - (self.target @ rows.T) @ rows
+            rows, resid = self._fit(features(), ridge)
         else:
             ridge, first = self.ridge, m
             rows = col / norm
@@ -426,9 +421,9 @@ def train_sub_reservoir(
     first T rows give a scale's batch its pre-activations in one product;
     each try writes its float64 states into the next state column. Its
     weights live in one store whose row i is node i's [w_in, b, w_r row];
-    an accepted candidate's batch row becomes the next row. From the first
-    fit_readout on, _QrReadout keeps the readout's residual as tries append
-    their columns; w_out is solved by fit_readout once more, at the end.
+    an accepted candidate's batch row becomes the next row. _QrReadout fits
+    the initial nodes and keeps the readout's residual as tries append their
+    columns; w_out is solved by fit_readout once, at the end.
     ``accept_hook(prev_residual, candidate_state, r, mu)`` is invoked just
     before each commit, with the r and mu the candidate was accepted at, for
     instrumentation.
@@ -470,18 +465,16 @@ def train_sub_reservoir(
     work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max),
                     np.float32 if cfg.activation in _FLOAT32_SCREENS else np.float64)
 
-    report = TrainReport()
-    w_out, fallback = fit_readout(nodes[:, :n].T, u, t, cfg.ridge, washout)
-    if fallback:
-        report.ridge_fallbacks.append(n)
-    resid_mat, resid = _residual(w_out, nodes[:, :n].T, u, t, washout)
-    report.residual_trace.append(resid)
-
     def features(n_nodes):  # the post-washout design [states, inputs], T' x n_nodes + K
         return np.hstack([nodes[washout:, :n_nodes], u[:, washout:].T])
 
-    readout = _QrReadout(features(n), t[:, washout:], _FALLBACK_RIDGE if fallback else cfg.ridge,
-                         k + cfg.n_max, w_out, resid_mat)
+    report = TrainReport()
+    readout = _QrReadout(features(n), t[:, washout:], cfg.ridge, k + cfg.n_max)
+    if readout.ridge != cfg.ridge:
+        report.ridge_fallbacks.append(n)
+    resid_mat = readout.resid[:, : readout.t_len]
+    resid = float(np.linalg.norm(resid_mat))
+    report.residual_trace.append(resid)
     ladder = _r_ladder(cfg.r_schedule)
     counters = report.counters = {"pools_screened": 0, "screen_rung_moves": 0}
     while resid > cfg.epsilon and n < cfg.n_max:

@@ -403,6 +403,24 @@ class TestTrainFrscn:
         assert np.array_equal(predict(m1, plant_train.inputs), predict(m2, plant_train.inputs))
 
 
+class TestEsnConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_nodes": 0}, "n_nodes must be >= 1"),
+            ({"sparsity_range": (0.0, 0.05)}, "sparsity_range must satisfy"),
+            ({"sparsity_range": (0.05, 0.01)}, "sparsity_range must satisfy"),
+            ({"alpha": 1.0}, r"alpha must be in \(0, 1\)"),
+            ({"ridge": -1.0}, "ridge must be >= 0"),
+            ({"activation": "relu"}, "unknown activation 'relu'"),
+            ({"weight_scale": 0.0}, "weight_scale must be positive"),
+        ],
+    )
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EsnConfig(**kwargs)
+
+
 class TestTrainFesn:
     def test_deterministic(self, plant_train):
         m1 = train_fesn(plant_train, q=2, esn_cfg=EsnConfig(n_nodes=20), seed=3)

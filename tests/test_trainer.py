@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,8 +408,8 @@ class TestBatchedScreening:
         if cfg.lambda_grid == (1000.0,):
             assert rep.ridge_fallbacks[0] > cfg.initial_size
         rollout = res.rollout(u)
-        # the readout is fit twice, at the start and, on the committed states, at the end
-        assert len(fitted) == 2
+        # the readout is fit once, on the committed states, at the end
+        assert len(fitted) == 1
         np.testing.assert_allclose(fitted[-1], rollout, rtol=0, atol=1e-12)
         if cfg.initial_size == cfg.n_max:
             assert designs == []
@@ -509,26 +511,32 @@ class TestQrReadout:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_appended_residual_matches_a_fresh_fit(self, plant_train, kwargs, seed):
         cfg = ScConfig(n_max=15, **kwargs)
-        before = []
-        res, rep = train_sub_reservoir(plant_train, cfg, seed=seed,
-                                       accept_hook=lambda e, g, r, mu: before.append(e))
-        u, t, w = plant_train.inputs, plant_train.targets, plant_train.washout
-        states = res.rollout(u)
-        n0 = res.n_nodes - len(rep.accepted_r)
-        for n, norm_qr, e_qr in zip(range(n0, res.n_nodes + 1), rep.residual_trace, before + [None]):
-            w_out, fallback = fit_readout(states[:n], u, t, cfg.ridge, w)
-            e, norm = trainer._residual(w_out, states[:n], u, t, w)
-            assert (n in rep.ridge_fallbacks) == fallback
-            # first-order least-squares perturbation: the residual is computed to
-            # about eps cond(A) ||t||, for A the design over sqrt(ridge) I at the
-            # fit's ridge; lstsq's own error dominates
-            d = np.vstack([states[:n], u])[:, w:].T
-            ridge = trainer._FALLBACK_RIDGE if fallback else cfg.ridge
-            cond = np.linalg.cond(np.vstack([d, np.sqrt(ridge) * np.eye(d.shape[1])]))
-            tol = 10 * np.finfo(float).eps * cond * np.linalg.norm(t[:, w:])
-            assert abs(norm_qr - norm) <= tol
-            if e_qr is not None:
-                assert np.linalg.norm(e_qr - e) <= tol
+        # a duplicated input row leaves every design rank-deficient, the initial one too
+        duplicated = replace(plant_train, inputs=plant_train.inputs[[0, 1, 1]])
+        for data in (plant_train, duplicated):
+            before = []
+            res, rep = train_sub_reservoir(data, cfg, seed=seed,
+                                           accept_hook=lambda e, g, r, mu: before.append(e))
+            u, t, w = data.inputs, data.targets, data.washout
+            states = res.rollout(u)
+            n0 = res.n_nodes - len(rep.accepted_r)
+            if data is duplicated:
+                assert rep.ridge_fallbacks == ([] if cfg.ridge else list(range(n0, res.n_nodes + 1)))
+            for n, norm_qr, e_qr in zip(range(n0, res.n_nodes + 1), rep.residual_trace,
+                                        before + [None]):
+                w_out, fallback = fit_readout(states[:n], u, t, cfg.ridge, w)
+                d = np.vstack([states[:n], u])[:, w:].T
+                e = t[:, w:] - w_out @ d.T
+                assert (n in rep.ridge_fallbacks) == fallback
+                # first-order least-squares perturbation: the residual is computed to
+                # about eps cond(A) ||t||, for A the design over sqrt(ridge) I at the
+                # fit's ridge; lstsq's own error dominates
+                ridge = trainer._FALLBACK_RIDGE if fallback else cfg.ridge
+                cond = np.linalg.cond(np.vstack([d, np.sqrt(ridge) * np.eye(d.shape[1])]))
+                tol = 10 * np.finfo(float).eps * cond * np.linalg.norm(t[:, w:])
+                assert abs(norm_qr - np.linalg.norm(e)) <= tol
+                if e_qr is not None:
+                    assert np.linalg.norm(e_qr - e) <= tol
 
 
 class TestLadderRungs:
