@@ -109,10 +109,10 @@ def load_config_file(path) -> dict:
         if key not in known:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         try:
-            if isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            cfg[key] = known[key](value)
-        except (TypeError, ValueError) as exc:
+            # the text its flag would carry, so 2.9 is not truncated to an int key's 2
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            cfg[key] = known[key](text)
+        except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
     return cfg
 
@@ -188,6 +188,9 @@ def cmd_gen_data(args, cfg) -> int:
 def _load_data(path, cfg, args):
     input_cols = [c for c in str(args.input_cols).split(",") if c]
     target_cols = [c for c in str(args.target_cols).split(",") if c]
+    for flag, cols in (("--input-cols", input_cols), ("--target-cols", target_cols)):
+        if not cols:
+            raise ConfigError(f"{flag} must name at least one column")
     shifts = []
     for spec in args.shift or []:
         col, _, lag = spec.partition(":")
@@ -223,11 +226,11 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    model = load_model(args.model)
     # targets are not needed to predict: stand in the first input column so
     # unlabeled CSVs work
     args.target_cols = str(args.input_cols).split(",")[0]
     data = _load_data(args.data, cfg, args)
+    model = load_model(args.model)
     pred = predict(model, data.inputs)
     header = ["n"] + [f"prediction_{q + 1}" for q in range(pred.shape[0])]
     ds_mod.write_series_csv(args.out, header, [range(1, pred.shape[1] + 1)] + pred.tolist())
@@ -238,8 +241,8 @@ def cmd_predict(args, cfg) -> int:
 def cmd_eval(args, cfg) -> int:
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
-    model = load_model(args.model)
     data = _load_data(args.data, cfg, args)
+    model = load_model(args.model)
     value = ev.nrmse(predict(model, data.inputs), data.targets, data.washout)
     if args.report_dir:
         ev.emit_report(args.report_dir, model=model, dataset=data,
@@ -253,8 +256,8 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_online(args, cfg) -> int:
-    model = load_model(args.model)
     data = _load_data(args.data, cfg, args)
+    model = load_model(args.model)
     state = ol.init_online(model, a=cfg["online.a"], c=cfg["online.c"])
     st_theta0 = state.theta.copy()
     updated, trace, steps = ol.run_online(model, state, data)

@@ -20,7 +20,7 @@ from .errors import InputRangeError, ModelFormatError
 # wraps it in this module by name.
 from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm  # noqa: F401
 from .reservoir import (ACTIVATIONS, LIPSCHITZ, SubReservoir, max_singular_value, quiet_sigmoid,
-                        recurrence_step, run_recurrence)
+                        run_recurrence)
 # train_sub_reservoir runs in the rule workers (growth.py); the benchmark's
 # tracer wraps it in this module by name.
 from .trainer import ScConfig, check_reservoir_settings, fit_readout, train_sub_reservoir  # noqa: F401
@@ -158,7 +158,9 @@ class PredictionSession:
                                   "or far outside the training range")
         phi = m.rule_bank.strengths(u)
         np.add(np.matmul(m.w_in, u, out=self._pre), self._b, out=self._pre)
-        recurrence_step(m.w_r, self._g, self._x, self._pre, self._feedback, self._x)
+        np.matmul(m.w_r, self._x, out=self._feedback)
+        np.add(self._pre, self._feedback, out=self._x)
+        self._g(self._x, out=self._x)
         self._u_rows[...] = u
         return u, phi
 

@@ -79,27 +79,22 @@ def run_recurrence(w_r, activation: str, pre: np.ndarray, x0=None) -> np.ndarray
     pre is time-major: T x N x B holds B runs of one reservoir (w_r N x N)
     side by side on the trailing axis, and T x Q x N x B those of Q
     reservoirs stacked on a leading rule axis (w_r Q x N x N), advanced
-    together by broadcasting matmul. Each step's states overwrite its row of
-    pre, which is returned: a row is stepped whole, with no strided copies.
-    x0 is the state before pre[0], shaped like a row; it defaults to zeros.
+    together by broadcasting matmul. A vector w_r (G) is the diagonal form:
+    G one-node reservoirs side by side in a T x G pre, fed back by multiply.
+    Each step's states overwrite its row of pre, which is returned in its
+    dtype: a row is stepped whole, with no strided copies. x0 is the state
+    before pre[0], shaped like a row; it defaults to zeros.
     """
     g = ACTIVATIONS[activation]
+    feed = np.multiply if np.ndim(w_r) == 1 else np.matmul
     x = np.zeros_like(pre[0]) if x0 is None else x0
     feedback = np.empty_like(pre[0])
     with np.errstate(over="ignore"):  # sigmoid's exp(-x) overflows to a 0 state
         for row in pre:
-            x = recurrence_step(w_r, g, x, row, feedback, row)
+            feed(w_r, x, out=feedback)
+            row += feedback
+            x = g(row, out=row)
     return pre
-
-
-def recurrence_step(w_r, g, x, pre, feedback, out) -> np.ndarray:
-    """One step of run_recurrence: out = g(pre + W_r x), all N x B (or Q x N x B).
-
-    feedback is scratch for W_r x, written before out, so out may be pre or x.
-    """
-    np.matmul(w_r, x, out=feedback)
-    np.add(pre, feedback, out=out)
-    return g(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ at or below alpha. Accepted nodes therefore keep the states they were
 committed with, earlier state rows never change, and the trace is monotone
 by construction.
 A rule's states live only in its time-major design [u(t), 1, x(t-1)], its
-weights only in one store of rows in that column order: one product of the
-design with a batch of such rows screens a weight scale's candidates.
+weights only in one store of rows in that column order: a weight scale's
+candidates are screened by one product of the design with their rows and by
+serving's time loop, reservoir.run_recurrence, in its diagonal form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import TimeSeriesDataset
-from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value
+from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value, run_recurrence
 
 # Residual comparisons tolerate a relative slack of a few ulps so that the
 # monotonicity guard is not tripped by benign rounding in the residual update.
@@ -282,28 +283,18 @@ def _candidate_states(cands, activation, design, work):
     design's column order, its own feedback weight last. design is the
     rule's time-major [u(t), 1, x(t-1)] (T x at least K + 1 + n), so one
     product of its first K + 1 + n columns with all but the batch's last
-    column gives every candidate's pre-activations; the candidates then
-    advance together in one loop over time. The product and the loop run in
-    work's dtype, to which both operands are cast. Exact under triangularity:
-    a new node reads only the accepted nodes' states plus its own previous
-    state, so no full re-rollout is needed during screening. The view is
-    valid until the next call.
+    column gives every candidate's pre-activations; run_recurrence's diagonal
+    form then advances the candidates together, each through its own
+    weight. The product and the loop run in work's dtype, to which both
+    operands are cast. Exact under triangularity: a new node reads only the
+    accepted nodes' states plus its own previous state, so no full re-rollout
+    is needed during screening. The view is valid until the next call.
     """
-    g = ACTIVATIONS[activation]
     weights = cands[:, :-1].astype(work.dtype)
     out = np.matmul(design[:, :weights.shape[1]].astype(work.dtype), weights.T,
                     out=work[:, :weights.shape[0]])
     self_w = cands[:, -1].astype(work.dtype)  # contiguous: read at every step
-    x = np.zeros(out.shape[1], work.dtype)
-    buf = np.empty(out.shape[1], work.dtype)
-    # each step overwrites its pre-activation row with the states it produces;
-    # sigmoid's exp(-x) overflows to a 0 state
-    with np.errstate(over="ignore"):
-        for row in out:
-            np.multiply(self_w, x, out=buf)
-            buf += row
-            x = g(buf, out=row)
-    return out
+    return run_recurrence(self_w, activation, out)
 
 
 def _candidate_rollout(cand, g, design, out) -> None:

@@ -119,6 +119,17 @@ class TestConfig:
         assert cfg["sc.lambda_grid"] == (0.1, 0.5)
         assert cfg["q"] == 3
 
+    @pytest.mark.parametrize("doc", [{"q": 2.9}, {"sc": {"n_max": 7.5}}, {"sc": {"g_max": True}},
+                                     {"q": 2.9, "sc": {"n_max": 7.5, "g_max": True}}])
+    def test_file_value_parsed_as_its_flag_text_exits_2(self, tmp_path, data_dir, capsys, doc):
+        # --q 2.9 is a usage error, so the same value in a file is one too, not a truncated 2
+        path, model_path, report_path = (tmp_path / name for name in ("cfg.json", "m.json", "r.json"))
+        path.write_text(json.dumps(doc))
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--config", str(path),
+                    "--out-model", str(model_path), "--out-report", str(report_path)]) == 2
+        assert "bad value for" in capsys.readouterr().err
+        assert not model_path.exists() and not report_path.exists()
+
     def test_missing_data_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["train"])
@@ -216,6 +227,31 @@ class TestTrainPredictEval:
         assert (f"config error: --shift expects COLUMN:LAG with an integer LAG >= 1, got {shift!r}"
                 in capsys.readouterr().err)
         assert not model_path.exists() and not report_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--input-cols", "--target-cols"])
+    @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+    def test_empty_columns_exit_2_without_writing(self, data_dir, tmp_path, capsys, flag, value):
+        model_path, report_path = tmp_path / "model.json", tmp_path / "rep.json"
+        assert run(["train", "--data", str(data_dir / "train.csv"), flag, value,
+                    "--out-model", str(model_path), "--out-report", str(report_path), *FAST]) == 2
+        assert f"config error: {flag} must name at least one column" in capsys.readouterr().err
+        assert not model_path.exists() and not report_path.exists()
+
+    # predict reads no target columns
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--input-cols"), ("eval", "--target-cols"), ("online", "--input-cols"),
+        ("online", "--target-cols"), ("predict", "--input-cols")])
+    def test_empty_columns_exit_2_before_reading_the_model(self, data_dir, tmp_path, capsys,
+                                                           command, flag):
+        # the model file does not exist: the usage error comes before any read
+        outputs = {"eval": ["--report-dir", str(tmp_path / "report")],
+                   "online": ["--out-model", str(tmp_path / "m.json"),
+                              "--out-trace", str(tmp_path / "t.csv")],
+                   "predict": ["--out", str(tmp_path / "p.csv")]}[command]
+        assert run([command, "--model", str(tmp_path / "absent.json"),
+                    "--data", str(data_dir / "test.csv"), flag, ",", *outputs]) == 2
+        assert f"config error: {flag} must name at least one column" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_dimension_mismatch_exits_1(self, data_dir, tmp_path):
         res = SubReservoir(w_in=np.zeros((1, 3)), w_r=np.zeros((1, 1)), b=np.zeros(1),

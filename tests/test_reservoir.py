@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frscn import SubReservoir, max_singular_value, rescale_triangular, spectral_radius
+from frscn.reservoir import run_recurrence
 from support import echo_state_gap, empty_reservoir, readout
 
 
@@ -190,6 +194,33 @@ class TestRollout:
         res = SubReservoir(w_in=[[0.0]], w_r=[[0.0]], b=[0.0], activation="sigmoid")
         states = res.rollout(np.ones((1, 3)))
         assert states[0].tolist() == [0.5, 0.5, 0.5]
+
+
+class TestDiagonalRecurrence:
+    """run_recurrence with a vector w_r: G one-node reservoirs side by side."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           activation=st.sampled_from(["tanh", "sigmoid"]),
+           t_len=st.integers(2, 40), width=st.integers(1, 6),
+           lam=st.floats(1e-3, 1000.0), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_split_run_is_one_run(self, dtype, activation, t_len, width, lam, seed, data):
+        # at lambda up to 1000, sigmoid's exp(-x) overflows in both dtypes
+        rng = np.random.default_rng(seed)
+        pre = rng.uniform(-lam, lam, (t_len, width)).astype(dtype)
+        w = rng.uniform(-1.0, 1.0, width).astype(dtype)
+        split = data.draw(st.integers(1, t_len - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = run_recurrence(w, activation, pre.copy())
+            head = run_recurrence(w, activation, pre[:split].copy())
+            tail = run_recurrence(w, activation, pre[split:].copy(), x0=head[-1])
+            # each column is its own one-node reservoir under the dense kernel
+            dense = [run_recurrence(w[j:j + 1, None], activation, pre[:, j:j + 1, None].copy())
+                     for j in range(width)]
+        assert whole.dtype == head.dtype == tail.dtype == dtype
+        assert whole.tobytes() == np.concatenate([head, tail]).tobytes()
+        assert whole.tobytes() == np.hstack([d[..., 0] for d in dense]).tobytes()
 
 
 class TestReadout:
