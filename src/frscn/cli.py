@@ -1,11 +1,12 @@
 """Command-line surface: data generation, training, prediction, evaluation,
 online adaptation, and grid search.
 
-Every run is deterministic under --seed. Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error. Built-in defaults mirror the
-benchmark protocol, so ``frscn train --data train.csv`` runs the reference
-settings with zero extra flags; a JSON config file and per-key flags override
-them one to one.
+gen-data, train and gridsearch are deterministic under --seed. Exit codes:
+0 success, 1 runtime failure, 2 usage or configuration error. Built-in
+defaults mirror the benchmark protocol, so ``frscn train --data train.csv``
+runs the reference settings with zero extra flags. A JSON config file may hold
+any key; each command reads its own keys and takes flags only for them, which
+override the file one to one.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ import numpy as np
 from . import dataset as ds_mod
 from . import evaluation as ev
 from . import online as ol
+from .errors import ConfigError
 from .fuzzy import FcmConfig
 from .model import MODEL_KINDS, EsnConfig, load_model, predict, save_model, train_frscn, train_model
 from .trainer import ScConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _floats(text):
@@ -77,6 +75,13 @@ CONFIG_SPEC = [
     ("online.a", float, _ONLINE["a"], "projection gain factor in (0,1]"),
     ("online.c", float, _ONLINE["c"], "gain matrix initialization constant"),
 ]
+# The keys each command reads, and so the flags it takes; gridsearch sets q and
+# the reservoir size from --q-list and --n-list.
+COMMAND_KEYS = {"gen-data": ["seed", "washout"], "predict": ["washout"], "eval": ["washout"],
+                "online": ["washout", "online.a", "online.c"],
+                "train": [key for key, *_ in CONFIG_SPEC if not key.startswith("online.")]}
+COMMAND_KEYS["gridsearch"] = [key for key in COMMAND_KEYS["train"]
+                              if key not in ("q", "sc.n_max", "esn.n_nodes")]
 
 
 def default_config() -> dict:
@@ -117,11 +122,13 @@ def load_config_file(path) -> dict:
     return cfg
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, command: str):
+    parser.add_argument("--config", help="JSON config file of any keys; flags override it")
     for key, parse, default, help_text in CONFIG_SPEC:
-        flag = "--" + key.replace(".", "-").replace("_", "-")
-        parser.add_argument(flag, dest=f"cfg::{key}", type=parse, default=None,
-                            metavar="V", help=f"{help_text} (default {default})")
+        if key in COMMAND_KEYS[command]:
+            flag = "--" + key.replace(".", "-").replace("_", "-")
+            parser.add_argument(flag, dest=f"cfg::{key}", type=parse, default=None,
+                                metavar="V", help=f"{help_text} (default {default})")
 
 
 def resolve_config(args) -> dict:
@@ -142,31 +149,25 @@ def _sub(cfg: dict, prefix: str) -> dict:
 
 def train_options(cfg: dict) -> dict:
     """The config's training options as keywords of train_model and grid_search."""
-    try:
-        return dict(sc_cfg=ScConfig(**_sub(cfg, "sc")), fcm_cfg=FcmConfig(**_sub(cfg, "fcm")),
-                    esn_cfg=EsnConfig(**_sub(cfg, "esn")), normalize=cfg["normalize"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return dict(sc_cfg=ScConfig(**_sub(cfg, "sc")), fcm_cfg=FcmConfig(**_sub(cfg, "fcm")),
+                esn_cfg=EsnConfig(**_sub(cfg, "esn")), normalize=cfg["normalize"])
 
 
 def cmd_gen_data(args, cfg) -> int:
     sizes = _counts(args.sizes, "--sizes", least=5)
     if len(sizes) != 3:
         raise ConfigError("--sizes must be three counts >= 5, e.g. 2000,1000,1000")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"]
     washout = cfg["washout"]
-    modes = {}
-    for name, size, mode, split_seed in (
-        ("train", sizes[0], "train-random", seed),
-        ("val", sizes[1], "train-random", seed + 1),
-        # the deterministic benchmark input is defined only for 1000 steps
-        ("test", sizes[2], "paper-test" if sizes[2] == 1000 else "train-random", seed + 2),
-    ):
-        ds = ds_mod.generate_plant_sequence(size, mode=mode, seed=split_seed,
-                                            washout=min(washout, size - 1))
-        modes[name] = mode
+    # the deterministic benchmark input is defined only for 1000 steps
+    modes = {"train": "train-random", "val": "train-random",
+             "test": "paper-test" if sizes[2] == 1000 else "train-random"}
+    splits = {name: ds_mod.generate_plant_sequence(size, mode=modes[name], seed=seed + k,
+                                                   washout=min(washout, size - 1))
+              for k, (name, size) in enumerate(zip(modes, sizes))}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, ds in splits.items():
         ds_mod.write_series_csv(
             out / f"{name}.csv",
             ["y", "u", "y_next"],
@@ -290,9 +291,8 @@ def cmd_gridsearch(args, cfg) -> int:
     options = train_options(cfg)
     train = _load_data(args.train, cfg, args)
     val = _load_data(args.val, cfg, args)
-    test = _load_data(args.test or args.val, cfg, args)
     result = ev.grid_search(
-        train, val, test, q_values=q_values, n_values=n_values,
+        train, val, val, q_values=q_values, n_values=n_values,
         model_kind=args.model_kind, trials_per_cell=args.trials, base_seed=cfg["seed"],
         **options,
     )
@@ -305,74 +305,63 @@ def cmd_gridsearch(args, cfg) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="frscn",
+        prog="frscn", allow_abbrev=False,
         description="Fuzzy recurrent stochastic configuration networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        p.add_argument("--input-cols", default="y,u", help="comma-separated input columns")
-        p.add_argument("--target-cols", default="y_next", help="comma-separated target columns")
-        p.add_argument("--shift", action="append", metavar="COLUMN:LAG",
-                       help="append a lagged copy of a column as an extra input; repeatable")
-        if with_config:
-            p.add_argument("--config", help="JSON config file; flags override it")
-            _add_config_flags(p)
+    def command(name, func, help_text, columns=True):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if columns:
+            p.add_argument("--input-cols", default="y,u", help="comma-separated input columns")
+            p.add_argument("--target-cols", default="y_next", help="comma-separated target columns")
+            p.add_argument("--shift", action="append", metavar="COLUMN:LAG",
+                           help="append a lagged copy of a column as an extra input; repeatable")
+        return p
 
-    p = sub.add_parser("gen-data", help="write synthetic benchmark CSVs")
+    p = command("gen-data", cmd_gen_data, "write synthetic benchmark CSVs", columns=False)
     p.add_argument("--out", default="data", help="output directory")
     p.add_argument("--sizes", default="2000,1000,1000", help="train,val,test sample counts")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model")
+    p = command("train", cmd_train, "train a model")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--model-kind", default="frscn", choices=MODEL_KINDS,
                    help="rscn/esn are the q=1 aliases of frscn/fesn")
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out-report", default="train_report.json")
-    add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="write predictions for a dataset")
+    p = command("predict", cmd_predict, "write predictions for a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="predictions.csv")
-    add_common(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="print NRMSE of a model on a dataset")
+    p = command("eval", cmd_eval, "print NRMSE of a model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--report-dir", default=None,
                    help="also write predictions.csv/fire_strengths.csv here")
     p.add_argument("--stride", type=int, default=1, help="fire-strength sampling stride")
-    add_common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("online", help="adapt readout weights over a stream")
+    p = command("online", cmd_online, "adapt readout weights over a stream")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out-model", default="model_online.json")
     p.add_argument("--out-trace", default="online_trace.csv")
-    add_common(p)
-    p.set_defaults(func=cmd_online)
 
-    p = sub.add_parser("gridsearch", help="select (Q, N) by validation NRMSE")
+    p = command("gridsearch", cmd_gridsearch, "select (Q, N) by validation NRMSE")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--test", default=None, help="optional; defaults to the validation CSV")
     p.add_argument("--model-kind", default="frscn", choices=MODEL_KINDS)
     p.add_argument("--q-list", default=",".join(map(str, _GRID["q_values"])))
     p.add_argument("--n-list", default=",".join(map(str, _GRID["n_values"])))
     p.add_argument("--trials", type=int, default=_GRID["trials_per_cell"],
                    help="trials per grid cell")
     p.add_argument("--out", default="gridsearch", help="output directory")
-    add_common(p)
-    p.set_defaults(func=cmd_gridsearch)
 
+    for name, p in sub.choices.items():
+        _add_config_flags(p, name)
     return parser
 
 

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CsvParseError, SchemaError
+from .errors import ConfigError, CsvParseError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class TimeSeriesDataset:
         if inputs.shape[1] < 1:
             raise ValueError("dataset needs at least one sample")
         if not (0 <= self.washout < inputs.shape[1]):
-            raise ValueError(f"washout {self.washout} out of range for {inputs.shape[1]} samples")
+            raise ConfigError(f"washout {self.washout} out of range for {inputs.shape[1]} samples")
         if not np.isfinite(inputs).all() or not np.isfinite(targets).all():
             raise ValueError("dataset contains non-finite values")
 
@@ -119,6 +119,8 @@ def generate_plant_sequence(
     """
     if n_samples < 5:
         raise ValueError("n_samples must be at least 5")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if mode == "train-random":
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, n_samples)

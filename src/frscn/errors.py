@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class ConfigError(ValueError):
+    """A setting is malformed or out of range; the CLI exits 2 for it."""
+
+
 class SchemaError(ValueError):
     """A required CSV column is missing from the header."""
 

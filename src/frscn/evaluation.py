@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import TimeSeriesDataset, write_series_csv
-from .errors import UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError
 from .fuzzy import fire_strength_matrix
 from .model import EsnConfig, FrscnModel, predict, train_model
 from .trainer import ScConfig
@@ -142,6 +142,8 @@ def run_trials(
         try:
             _, reps, result = run_single_trial(train, val, test, model_kind,
                                                seed=base_seed + k, **train_kw)
+        except ConfigError:  # a setting, not the trial, is at fault
+            raise
         except ValueError as exc:  # recorded, not raised: summary needs the rest
             reps, result = [], TrialResult(
                 seed=base_seed + k,

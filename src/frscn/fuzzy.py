@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import ConfigError, DegenerateDataError
 
 # Width floor: 1e-3 of the dimension's training range, 1e-6 absolute if the
 # range is zero. Keeps (u - c) / sigma bounded for coincident points.
@@ -31,11 +31,11 @@ class FcmConfig:
 
     def __post_init__(self):
         if not self.m > 1:
-            raise ValueError("fuzziness exponent m must be > 1")
+            raise ConfigError("fuzziness exponent m must be > 1")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ConfigError("max_iter must be >= 1")
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise ConfigError("tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import NormalizationStats, TimeSeriesDataset, fit_normalization
-from .errors import InputRangeError, ModelFormatError
+from .errors import ConfigError, InputRangeError, ModelFormatError
 # fire_strengths is not called here; the benchmark's tracer (perfbench/spans.py)
 # wraps it in this module by name.
 from .fuzzy import FcmConfig, FuzzyRuleBank, fire_strength_matrix, fire_strengths, fit_fcm  # noqa: F401
@@ -41,10 +41,10 @@ class EsnConfig:
 
     def __post_init__(self):
         if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
+            raise ConfigError("n_nodes must be >= 1")
         check_reservoir_settings(self)
         if self.weight_scale <= 0:
-            raise ValueError("weight_scale must be positive")
+            raise ConfigError("weight_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,9 @@ def _train_rules(train: TimeSeriesDataset, kind: str, q: int, fcm_cfg: FcmConfig
     run's settings, with the reservoir settings cfg under cfg_key.
     """
     if q < 1:
-        raise ValueError("q must be >= 1")
+        raise ConfigError("q must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     fcm_cfg = fcm_cfg or FcmConfig()
     stats = fit_normalization(train, enabled=normalize)
     ds = stats.apply(train)

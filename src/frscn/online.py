@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import TimeSeriesDataset
+from .errors import ConfigError
 from .model import FrscnModel, feature_chunks, replace_readout, stacked_features, stacked_readout
 
 # samples per online_step call in run_online; 32-128 cost within 15% at D = 260
@@ -46,9 +47,9 @@ def init_online(model: FrscnModel, a: float = OnlineState.a,
                 c: float = OnlineState.c) -> OnlineState:
     """Assemble Theta from the model's readouts and set H to (1/c) I."""
     if not 0 < a <= 1:
-        raise ValueError("a must be in (0, 1]")
+        raise ConfigError("a must be in (0, 1]")
     if not c > 0:
-        raise ValueError("c must be positive")
+        raise ConfigError("c must be positive")
     theta = stacked_readout(model)
     return OnlineState(theta=theta, h=np.eye(theta.shape[1]) / c, a=a, c=c)
 

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import TimeSeriesDataset
+from .errors import ConfigError
 from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value, run_recurrence
 
 # Residual comparisons tolerate a relative slack of a few ulps so that the
@@ -83,19 +84,19 @@ class ScConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise ConfigError("n_max must be >= 1")
         if self.g_max < 1:
-            raise ValueError("g_max must be >= 1")
+            raise ConfigError("g_max must be >= 1")
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid or any(v <= 0 for v in grid) or list(grid) != sorted(grid):
-            raise ValueError("lambda_grid must be nonempty, positive, ascending")
+            raise ConfigError("lambda_grid must be nonempty, positive, ascending")
         sched = tuple(float(v) for v in self.r_schedule)
         if not sched or any(not 0 < v < 1 for v in sched) or list(sched) != sorted(sched):
-            raise ValueError("r_schedule must be ascending values in (0, 1)")
+            raise ConfigError("r_schedule must be ascending values in (0, 1)")
         if self.initial_size < 1:
-            raise ValueError("initial_size must be >= 1")
+            raise ConfigError("initial_size must be >= 1")
         check_reservoir_settings(self)
         object.__setattr__(self, "lambda_grid", grid)
         object.__setattr__(self, "r_schedule", sched)
@@ -104,15 +105,15 @@ class ScConfig:
 
 def check_reservoir_settings(cfg):
     """Check the settings that ScConfig and model.EsnConfig share."""
-    lo, hi = cfg.sparsity_range
-    if not (0 < lo <= hi < 1):
-        raise ValueError("sparsity_range must satisfy 0 < lo <= hi < 1")
+    density = tuple(cfg.sparsity_range)
+    if len(density) != 2 or not 0 < density[0] <= density[1] < 1:
+        raise ConfigError("sparsity_range must satisfy 0 < lo <= hi < 1 for two values lo, hi")
     if not 0 < cfg.alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ConfigError("alpha must be in (0, 1)")
     if cfg.ridge < 0:
-        raise ValueError("ridge must be >= 0")
+        raise ConfigError("ridge must be >= 0")
     if cfg.activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {cfg.activation!r}")
+        raise ConfigError(f"unknown activation {cfg.activation!r}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -420,14 +421,115 @@ class TestPredictUnlabeled:
 
 class TestHelpSurface:
     def test_every_config_key_has_a_flag(self, capsys):
-        from frscn.cli import CONFIG_SPEC, build_parser
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["train", "--help"])
-        text = capsys.readouterr().out
-        for key, _, _, _ in CONFIG_SPEC:
-            flag = "--" + key.replace(".", "-").replace("_", "-")
-            assert flag in text
+        # each command takes --config and a flag for exactly the keys it reads, 50 in all
+        from frscn.cli import CONFIG_SPEC
+        flag = {key: "--" + key.replace(".", "-").replace("_", "-") for key, *_ in CONFIG_SPEC}
+        fit = {key for key in flag if not key.startswith("online.")}
+        expected = {"gen-data": {"seed", "washout"}, "train": fit, "predict": {"washout"},
+                    "eval": {"washout"}, "online": {"washout", "online.a", "online.c"},
+                    "gridsearch": fit - {"q", "sc.n_max", "esn.n_nodes"}}
+        config_flags = set(flag.values()) | {"--config"}
+        for command, keys in expected.items():
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            assert shown & config_flags == {flag[key] for key in keys} | {"--config"}, command
+        assert sum(map(len, expected.values())) == 50
+        assert set().union(*expected.values()) == set(flag)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("predict", ["--sc-n-max", "5"]),
+        ("eval", ["--seed", "3"]),
+        ("train", ["--online-a", "0.5"]),
+        ("gen-data", ["--q", "2"]),
+        ("gridsearch", ["--q", "3"]),  # not read as an abbreviation of --q-list
+        ("gridsearch", ["--sc-n-max", "5"]),
+        ("gridsearch", ["--test", "VAL"]),
+    ])
+    def test_flag_the_command_does_not_read_exits_2_without_writing(self, data_dir, tmp_path,
+                                                                    capsys, command, flags):
+        train, val = str(data_dir / "train.csv"), str(data_dir / "val.csv")
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["--out", out],
+            "train": ["--data", train, "--out-model", out, "--out-report", tmp_path / "r.json"],
+            "predict": ["--model", tmp_path / "m.json", "--data", val, "--out", out],
+            "eval": ["--model", tmp_path / "m.json", "--data", val, "--report-dir", out],
+            "gridsearch": ["--train", train, "--val", val, "--q-list", "1", "--n-list", "6",
+                           "--trials", "1", "--washout", "40", "--out", out],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *map(str, argv), *(val if f == "VAL" else f for f in flags)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_config_file_serves_every_command(self, tmp_path):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "q": 2, "seed": 4, "washout": 40, "normalize": True,
+            "sc": {"n_max": 8, "g_max": 20, "initial_size": 3, "activation": "tanh"},
+            "fcm": {"m": 2.0, "max_iter": 100, "tol": 1e-5},
+            "esn": {"n_nodes": 6, "ridge": 1e-8},
+            "online": {"a": 1.0, "c": 0.01},
+        }))
+        d, c = tmp_path / "data", ["--config", str(cfg)]
+        model = str(tmp_path / "model.json")
+        for argv in (
+            ["gen-data", "--out", d, "--sizes", "300,150,150"],
+            ["train", "--data", d / "train.csv", "--out-model", model,
+             "--out-report", tmp_path / "report.json"],
+            ["predict", "--model", model, "--data", d / "test.csv", "--out", tmp_path / "p.csv"],
+            ["eval", "--model", model, "--data", d / "test.csv", "--json"],
+            ["online", "--model", model, "--data", d / "val.csv",
+             "--out-model", tmp_path / "online.json", "--out-trace", tmp_path / "trace.csv"],
+            ["gridsearch", "--train", d / "train.csv", "--val", d / "val.csv", "--q-list", "1",
+             "--n-list", "6", "--trials", "1", "--out", tmp_path / "grid"],
+        ):
+            assert run([*map(str, argv), *c]) == 0, argv[0]
+        assert json.loads((d / "meta.json").read_text())["washout"] == 40
+        assert json.loads((tmp_path / "report.json").read_text())["q"] == 2
+
+
+@pytest.fixture(scope="module")
+def small_model(data_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert run(["train", "--data", str(data_dir / "train.csv"), "--out-model", str(path),
+                "--out-report", str(path.with_name("report.json")), *FAST]) == 0
+    return path
+
+
+class TestSettingRanges:
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--q", "0"], "q must be >= 1"),
+        ("train", ["--seed", "-1"], "seed must be >= 0"),
+        ("train", ["--washout", "-5"], "washout -5 out of range for 400 samples"),
+        ("train", ["--sc-sparsity-range", "0.1"], "sparsity_range must satisfy"),
+        ("gen-data", ["--seed", "-1"], "seed must be >= 0"),
+        ("online", ["--online-a", "2"], "a must be in (0, 1]"),
+        ("online", ["--online-c", "0"], "c must be positive"),
+    ])
+    def test_out_of_range_setting_exits_2_without_writing(self, data_dir, small_model, tmp_path,
+                                                          capsys, command, flags, message):
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["--out", out],
+            "train": ["--data", data_dir / "train.csv", "--out-model", out,
+                      "--out-report", tmp_path / "r.json"],
+            "online": ["--model", small_model, "--data", data_dir / "val.csv",
+                       "--out-model", out, "--out-trace", tmp_path / "t.csv"],
+        }[command]
+        assert run([command, *map(str, argv), *flags]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_grid_seed_exits_2_without_writing(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "grid"
+        assert run(["gridsearch", "--train", str(data_dir / "train.csv"),
+                    "--val", str(data_dir / "val.csv"), "--q-list", "1", "--n-list", "6",
+                    "--trials", "1", "--washout", "40", "--seed", "-1", "--out", str(out)]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalReportDir:
