@@ -5,8 +5,9 @@ gen-data, train and gridsearch are deterministic under --seed. Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error. Built-in
 defaults mirror the benchmark protocol, so ``frscn train --data train.csv``
 runs the reference settings with zero extra flags. A JSON config file may hold
-any key; each command reads its own keys and takes flags only for them, which
-override the file one to one.
+any key; a run reads its command's keys less those its --model-kind leaves
+unread, takes flags only for those, and neither applies nor checks the file's
+others. predict reads no key; gridsearch takes only the kinds that read q.
 """
 
 from __future__ import annotations
@@ -77,11 +78,13 @@ CONFIG_SPEC = [
 ]
 # The keys each command reads, and so the flags it takes; gridsearch sets q and
 # the reservoir size from --q-list and --n-list.
-COMMAND_KEYS = {"gen-data": ["seed", "washout"], "predict": ["washout"], "eval": ["washout"],
+COMMAND_KEYS = {"gen-data": ["seed", "washout"], "predict": [], "eval": ["washout"],
                 "online": ["washout", "online.a", "online.c"],
                 "train": [key for key, *_ in CONFIG_SPEC if not key.startswith("online.")]}
 COMMAND_KEYS["gridsearch"] = [key for key in COMMAND_KEYS["train"]
                               if key not in ("q", "sc.n_max", "esn.n_nodes")]
+# The key groups each model kind leaves unread; the single-rule aliases fix q at 1.
+KIND_UNREAD = {"frscn": {"esn"}, "rscn": {"esn", "q"}, "fesn": {"sc"}, "esn": {"sc", "q"}}
 
 
 def default_config() -> dict:
@@ -132,25 +135,26 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str):
 
 
 def resolve_config(args) -> dict:
-    cfg = default_config()
-    if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
-    for key, _, _, _ in CONFIG_SPEC:
-        override = getattr(args, f"cfg::{key}", None)
-        if override is not None:
-            cfg[key] = override
-    return cfg
-
-
-def _sub(cfg: dict, prefix: str) -> dict:
-    plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
+    """Defaults, then the config file, then flags, for only the keys the run reads."""
+    unread = KIND_UNREAD.get(getattr(args, "model_kind", None), ())
+    flags = {key: getattr(args, f"cfg::{key}") for key in COMMAND_KEYS[args.command]
+             if getattr(args, f"cfg::{key}") is not None}
+    for key in flags:
+        if key.split(".")[0] in unread:
+            raise ConfigError(f"--model-kind {args.model_kind} does not read {key}")
+    cfg = default_config() | (load_config_file(args.config) if args.config else {}) | flags
+    return {key: cfg[key] for key in COMMAND_KEYS[args.command]
+            if key.split(".")[0] not in unread}
 
 
 def train_options(cfg: dict) -> dict:
-    """The config's training options as keywords of train_model and grid_search."""
-    return dict(sc_cfg=ScConfig(**_sub(cfg, "sc")), fcm_cfg=FcmConfig(**_sub(cfg, "fcm")),
-                esn_cfg=EsnConfig(**_sub(cfg, "esn")), normalize=cfg["normalize"])
+    """The config's training keywords of train_model and grid_search, for the keys it holds."""
+    options = {key: cfg[key] for key in ("q", "normalize") if key in cfg}
+    for group, cls in (("sc", ScConfig), ("fcm", FcmConfig), ("esn", EsnConfig)):
+        sub = {k[len(group) + 1:]: v for k, v in cfg.items() if k.startswith(group + ".")}
+        if sub:
+            options[f"{group}_cfg"] = cls(**sub)
+    return options
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -188,7 +192,9 @@ def cmd_gen_data(args, cfg) -> int:
 
 def _load_data(path, cfg, args):
     input_cols = [c for c in str(args.input_cols).split(",") if c]
-    target_cols = [c for c in str(args.target_cols).split(",") if c]
+    # predict takes no --target-cols: its first input column stands in for them
+    targets = getattr(args, "target_cols", ",".join(input_cols[:1]))
+    target_cols = [c for c in str(targets).split(",") if c]
     for flag, cols in (("--input-cols", input_cols), ("--target-cols", target_cols)):
         if not cols:
             raise ConfigError(f"{flag} must name at least one column")
@@ -203,14 +209,14 @@ def _load_data(path, cfg, args):
             raise ConfigError(f"--shift expects COLUMN:LAG with an integer LAG >= 1, got {spec!r}")
         shifts.append((col, lag))
     return ds_mod.load_csv(path, input_cols, target_cols,
-                           washout=cfg["washout"], shifts=tuple(shifts))
+                           washout=cfg.get("washout", 0), shifts=tuple(shifts))
 
 
 def cmd_train(args, cfg) -> int:
     options = train_options(cfg)
     train = _load_data(args.data, cfg, args)
     kind = args.model_kind
-    model, reports = train_model(train, kind, q=cfg["q"], seed=cfg["seed"], **options)
+    model, reports = train_model(train, kind, seed=cfg["seed"], **options)
     save_model(model, args.out_model)
     report_doc = {
         "model_kind": kind,
@@ -227,9 +233,6 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    # targets are not needed to predict: stand in the first input column so
-    # unlabeled CSVs work
-    args.target_cols = str(args.input_cols).split(",")[0]
     data = _load_data(args.data, cfg, args)
     model = load_model(args.model)
     pred = predict(model, data.inputs)
@@ -240,14 +243,16 @@ def cmd_predict(args, cfg) -> int:
 
 
 def cmd_eval(args, cfg) -> int:
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    stride = 1 if args.stride is None else args.stride
+    if stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {stride}")
+    if args.stride is not None and not args.report_dir:
+        raise ConfigError("--stride samples fire_strengths.csv and needs --report-dir")
     data = _load_data(args.data, cfg, args)
     model = load_model(args.model)
     value = ev.nrmse(predict(model, data.inputs), data.targets, data.washout)
     if args.report_dir:
-        ev.emit_report(args.report_dir, model=model, dataset=data,
-                       fire_strength_stride=args.stride)
+        ev.emit_report(args.report_dir, model=model, dataset=data, fire_strength_stride=stride)
     if args.json:
         print(json.dumps({"nrmse": value, "n_samples": data.n_samples,
                           "washout": data.washout}))
@@ -292,7 +297,7 @@ def cmd_gridsearch(args, cfg) -> int:
     train = _load_data(args.train, cfg, args)
     val = _load_data(args.val, cfg, args)
     result = ev.grid_search(
-        train, val, val, q_values=q_values, n_values=n_values,
+        train, val, q_values=q_values, n_values=n_values,
         model_kind=args.model_kind, trials_per_cell=args.trials, base_seed=cfg["seed"],
         **options,
     )
@@ -310,12 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, columns=True):
+    def command(name, func, help_text, columns=True, targets=True):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
         if columns:
             p.add_argument("--input-cols", default="y,u", help="comma-separated input columns")
-            p.add_argument("--target-cols", default="y_next", help="comma-separated target columns")
+            if targets:
+                p.add_argument("--target-cols", default="y_next", help="comma-separated target columns")
             p.add_argument("--shift", action="append", metavar="COLUMN:LAG",
                            help="append a lagged copy of a column as an extra input; repeatable")
         return p
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out-report", default="train_report.json")
 
-    p = command("predict", cmd_predict, "write predictions for a dataset")
+    p = command("predict", cmd_predict, "write predictions for a dataset", targets=False)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="predictions.csv")
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--report-dir", default=None,
                    help="also write predictions.csv/fire_strengths.csv here")
-    p.add_argument("--stride", type=int, default=1, help="fire-strength sampling stride")
+    p.add_argument("--stride", type=int, help="fire_strengths.csv row stride (default 1)")
 
     p = command("online", cmd_online, "adapt readout weights over a stream")
     p.add_argument("--model", required=True)
@@ -353,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gridsearch", cmd_gridsearch, "select (Q, N) by validation NRMSE")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--model-kind", default="frscn", choices=MODEL_KINDS)
+    p.add_argument("--model-kind", default="frscn", help="rscn/esn are frscn/fesn at --q-list 1",
+                   choices=[kind for kind in MODEL_KINDS if "q" not in KIND_UNREAD[kind]])
     p.add_argument("--q-list", default=",".join(map(str, _GRID["q_values"])))
     p.add_argument("--n-list", default=",".join(map(str, _GRID["n_values"])))
     p.add_argument("--trials", type=int, default=_GRID["trials_per_cell"],

@@ -181,7 +181,6 @@ class GridSearchResult:
 def grid_search(
     train: TimeSeriesDataset,
     val: TimeSeriesDataset,
-    test: TimeSeriesDataset,
     q_values=(1, 3, 5, 10, 15),
     n_values=(25, 50, 75, 100),
     model_kind: str = "frscn",
@@ -194,7 +193,8 @@ def grid_search(
     """Mean validation NRMSE over a (Q, N) grid; pick the minimizing cell.
 
     Each cell sets q and the reservoir size, sc_cfg.n_max or esn_cfg.n_nodes;
-    train_kw (fcm_cfg, normalize) goes to train_model through run_trials.
+    train_kw (fcm_cfg, normalize) goes to train_model through run_trials, with
+    val as its test split. The q = 1 aliases "rscn" and "esn" raise ConfigError.
 
     Ties break toward the smaller reservoir size, then the smaller rule
     count. Cells whose trials all fail are marked NaN and never selected.
@@ -203,6 +203,8 @@ def grid_search(
     n_values = list(n_values)
     if not q_values or not n_values:
         raise ValueError("grid axes must be nonempty")
+    if model_kind.lower() in ("rscn", "esn"):
+        raise ConfigError(f"grid_search varies q, which model kind {model_kind!r} fixes at 1")
     sc_cfg = sc_cfg or ScConfig()
     esn_cfg = esn_cfg or EsnConfig()
 
@@ -210,7 +212,7 @@ def grid_search(
     for iq, qi in enumerate(q_values):
         for jn, ni in enumerate(n_values):
             _, summary = run_trials(
-                train, val, test, model_kind, q=qi,
+                train, val, val, model_kind, q=qi,
                 sc_cfg=replace(sc_cfg, n_max=ni),
                 esn_cfg=replace(esn_cfg, n_nodes=ni),
                 n_trials=trials_per_cell, base_seed=base_seed, **train_kw,

@@ -503,7 +503,7 @@ def save_model(model: FrscnModel, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # one C-encoder call; json.dump streams through pure Python
 
 
 def load_model(path) -> FrscnModel:

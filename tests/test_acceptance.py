@@ -212,7 +212,7 @@ def test_criterion_07_q1_reduction_bit_identical(tmp_path):
         pred = tmp_path / f"{kind}_pred.csv"
         assert main(["predict", "--model", str(model),
                      "--data", str(data_dir / "test.csv"),
-                     "--out", str(pred), "--washout", "50"]) == 0
+                     "--out", str(pred)]) == 0
         pred_files.append(pred.read_bytes())
     identical = pred_files[0] == pred_files[1]
     print(f"\nACCEPTANCE 7 {'PASS' if identical else 'FAIL'}: "

@@ -131,6 +131,15 @@ class TestConfig:
         assert "bad value for" in capsys.readouterr().err
         assert not model_path.exists() and not report_path.exists()
 
+    def test_file_keys_the_model_kind_does_not_read_are_not_checked(self, tmp_path, data_dir):
+        # esn.alpha = 2 is out of range, but an frscn model never reads it
+        path, model_path = tmp_path / "cfg.json", tmp_path / "m.json"
+        path.write_text(json.dumps({"esn": {"alpha": 2}}))
+        assert run(["train", "--data", str(data_dir / "train.csv"), "--config", str(path),
+                    "--out-model", str(model_path), "--out-report", str(tmp_path / "r.json"),
+                    *FAST]) == 0
+        assert model_path.exists()
+
     def test_missing_data_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["train"])
@@ -188,9 +197,10 @@ class TestTrainPredictEval:
     def test_cli_writes_the_library_model_file(self, data_dir, tmp_path, kind):
         from frscn import EsnConfig, ScConfig
         cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"
+        flags = FAST if kind == "frscn" else ["--esn-n-nodes", "6", "--q", "2", "--washout", "40"]
         assert run(["train", "--data", str(data_dir / "train.csv"), "--model-kind", kind,
-                    "--seed", "5", "--esn-n-nodes", "6", "--out-model", str(cli_path),
-                    "--out-report", str(tmp_path / "r.json"), *FAST]) == 0
+                    "--seed", "5", "--out-model", str(cli_path),
+                    "--out-report", str(tmp_path / "r.json"), *flags]) == 0
         train = load_csv(data_dir / "train.csv", ["y", "u"], ["y_next"], washout=40)
         model, _ = train_model(train, kind, q=2, sc_cfg=ScConfig(n_max=8, g_max=20),
                                esn_cfg=EsnConfig(n_nodes=6), seed=5)
@@ -392,7 +402,7 @@ class TestFarOutInput:
 
         out = tmp_path / "pred.csv"
         assert run(["predict", "--model", str(model_path), "--data", str(planted),
-                    "--out", str(out), "--washout", "40"]) == 1
+                    "--out", str(out)]) == 1
         assert not out.exists()
         assert run(["eval", "--model", str(model_path), "--data", str(planted),
                     "--washout", "40", "--report-dir", str(tmp_path / "report")]) == 1
@@ -415,17 +425,26 @@ class TestPredictUnlabeled:
                 fh.write(f"{y},{u}\n")
         out = tmp_path / "p.csv"
         assert run(["predict", "--model", str(model_path), "--data", str(unlabeled),
-                    "--out", str(out), "--washout", "40"]) == 0
+                    "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 201
+
+    def test_predict_reads_no_washout(self, small_model, data_dir, tmp_path):
+        # 30 rows are fewer than the default washout of 100, which predict never used
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join((data_dir / "test.csv").read_text().splitlines()[:31]) + "\n")
+        out = tmp_path / "p.csv"
+        assert run(["predict", "--model", str(small_model), "--data", str(short),
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 31
 
 
 class TestHelpSurface:
     def test_every_config_key_has_a_flag(self, capsys):
-        # each command takes --config and a flag for exactly the keys it reads, 50 in all
+        # each command takes --config and a flag for exactly the keys it reads, 49 in all
         from frscn.cli import CONFIG_SPEC
         flag = {key: "--" + key.replace(".", "-").replace("_", "-") for key, *_ in CONFIG_SPEC}
         fit = {key for key in flag if not key.startswith("online.")}
-        expected = {"gen-data": {"seed", "washout"}, "train": fit, "predict": {"washout"},
+        expected = {"gen-data": {"seed", "washout"}, "train": fit, "predict": set(),
                     "eval": {"washout"}, "online": {"washout", "online.a", "online.c"},
                     "gridsearch": fit - {"q", "sc.n_max", "esn.n_nodes"}}
         config_flags = set(flag.values()) | {"--config"}
@@ -434,7 +453,7 @@ class TestHelpSurface:
                 build_parser().parse_args([command, "--help"])
             shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
             assert shown & config_flags == {flag[key] for key in keys} | {"--config"}, command
-        assert sum(map(len, expected.values())) == 50
+        assert sum(map(len, expected.values())) == 49
         assert set().union(*expected.values()) == set(flag)
 
     @pytest.mark.parametrize("command, flags", [
@@ -445,6 +464,8 @@ class TestHelpSurface:
         ("gridsearch", ["--q", "3"]),  # not read as an abbreviation of --q-list
         ("gridsearch", ["--sc-n-max", "5"]),
         ("gridsearch", ["--test", "VAL"]),
+        ("predict", ["--washout", "40"]),  # predict reads no washout and no targets
+        ("predict", ["--target-cols", "y_next"]),
     ])
     def test_flag_the_command_does_not_read_exits_2_without_writing(self, data_dir, tmp_path,
                                                                     capsys, command, flags):
@@ -463,6 +484,34 @@ class TestHelpSurface:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, kind, flags, key", [
+        ("train", "fesn", ["--sc-n-max", "5"], "sc.n_max"),
+        ("train", "rscn", ["--q", "5"], "q"),
+        ("train", "frscn", ["--esn-alpha", "0.5"], "esn.alpha"),
+        ("gridsearch", "fesn", ["--sc-g-max", "20"], "sc.g_max"),
+    ])
+    def test_flag_the_model_kind_does_not_read_exits_2_before_any_file(
+            self, tmp_path, capsys, command, kind, flags, key):
+        # neither the config file nor the data exists: the refusal comes first
+        absent = str(tmp_path / "absent")
+        argv = {"train": ["--data", absent, "--out-model", absent, "--out-report", absent],
+                "gridsearch": ["--train", absent, "--val", absent, "--out", absent]}[command]
+        assert run([command, *argv, "--model-kind", kind, "--config", absent, *flags]) == 2
+        assert f"config error: --model-kind {kind} does not read {key}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["rscn", "esn"])
+    def test_gridsearch_refuses_the_single_rule_aliases(self, data_dir, tmp_path, capsys, kind):
+        # an alias fixes q at 1, so its --q-list rows would all be q = 1 models
+        out = tmp_path / "grid"
+        with pytest.raises(SystemExit) as exc:
+            run(["gridsearch", "--train", str(data_dir / "train.csv"), "--val",
+                 str(data_dir / "val.csv"), "--model-kind", kind, "--q-list", "1,2,3",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{kind}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_config_file_serves_every_command(self, tmp_path):
         cfg = tmp_path / "pipeline.json"
@@ -546,6 +595,12 @@ class TestEvalReportDir:
         fs = (report_dir / "fire_strengths.csv").read_text().strip().splitlines()
         assert fs[0] == "n,phi_1,phi_2"
         assert len(fs) - 1 == (200 - 40 + 9) // 10
+
+    def test_stride_without_report_dir_exits_2(self, small_model, data_dir, capsys):
+        assert run(["eval", "--model", str(small_model), "--data", str(data_dir / "test.csv"),
+                    "--washout", "40", "--stride", "50"]) == 2
+        assert "config error: --stride samples fire_strengths.csv and needs --report-dir" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("stride", ["0", "-5"])
     def test_stride_below_one_exits_2_without_writing(self, data_dir, tmp_path, capsys, stride):

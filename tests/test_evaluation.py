@@ -15,6 +15,7 @@ from frscn import (
     nrmse,
     run_trials,
 )
+from frscn.errors import ConfigError
 from frscn.evaluation import TrialSummary, run_single_trial
 
 
@@ -129,36 +130,43 @@ class TestRunTrials:
 
 class TestGridSearch:
     def test_single_cell_selected(self, small_task):
-        train, val, test = small_task
-        result = grid_search(train, val, test, q_values=[1], n_values=[6],
+        train, val, _ = small_task
+        result = grid_search(train, val, q_values=[1], n_values=[6],
                              sc_cfg=FAST_SC, trials_per_cell=1, base_seed=0)
         assert result.best_q == 1 and result.best_n == 6
         assert result.mean_val_nrmse.shape == (1, 1)
 
     def test_tie_breaks_smaller_n_then_q(self, small_task, monkeypatch):
-        train, val, test = small_task
+        train, val, _ = small_task
 
         def fake_run_trials(*args, **kwargs):
             summary = TrialSummary(0.1, 0.5, 0.1, 0.0, 0.0, 0.0, 1, 0)
             return [], summary
 
         monkeypatch.setattr(ev, "run_trials", fake_run_trials)
-        result = grid_search(train, val, test, q_values=[3, 1], n_values=[50, 25],
+        result = grid_search(train, val, q_values=[3, 1], n_values=[50, 25],
                              trials_per_cell=1)
         assert result.best_n == 25
         assert result.best_q == 1
 
     def test_empty_axes_rejected(self, small_task):
-        train, val, test = small_task
+        train, val, _ = small_task
         with pytest.raises(ValueError):
-            grid_search(train, val, test, q_values=[], n_values=[5])
+            grid_search(train, val, q_values=[], n_values=[5])
+
+    @pytest.mark.parametrize("kind", ["rscn", "esn"])
+    def test_single_rule_aliases_rejected(self, small_task, kind):
+        # an alias fixes q at 1, so a q > 1 row would hold a q = 1 model
+        train, val, _ = small_task
+        with pytest.raises(ConfigError, match=f"model kind '{kind}' fixes at 1"):
+            grid_search(train, val, q_values=[1, 2], n_values=[6], model_kind=kind)
 
     def test_reproducible(self, small_task):
-        train, val, test = small_task
+        train, val, _ = small_task
         kw = dict(q_values=[1], n_values=[6, 7], sc_cfg=FAST_SC,
                   trials_per_cell=1, base_seed=3)
-        a = grid_search(train, val, test, **kw)
-        b = grid_search(train, val, test, **kw)
+        a = grid_search(train, val, **kw)
+        b = grid_search(train, val, **kw)
         assert np.array_equal(a.mean_val_nrmse, b.mean_val_nrmse)
         assert (a.best_q, a.best_n) == (b.best_q, b.best_n)
 
@@ -196,8 +204,8 @@ class TestEmitReport:
         assert not (tmp_path / "out").exists()
 
     def test_grid_csv(self, tmp_path, small_task):
-        train, val, test = small_task
-        grid = grid_search(train, val, test, q_values=[1], n_values=[6],
+        train, val, _ = small_task
+        grid = grid_search(train, val, q_values=[1], n_values=[6],
                            sc_cfg=FAST_SC, trials_per_cell=1)
         written = emit_report(tmp_path, grid=grid)
         names = {p.name for p in written}

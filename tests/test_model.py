@@ -493,6 +493,30 @@ class TestSerialization:
         inputs = rng.normal(size=(2, 40))
         assert np.array_equal(predict(model, inputs), predict(clone, inputs))
 
+    def test_file_bytes_are_stable(self, tmp_path):
+        # the frscn-1 text, byte for byte: shortest round-trip floats, ", " and ": "
+        res = SubReservoir(w_in=np.array([[0.1, -1 / 3]]), w_r=np.array([[2.5e-300]]),
+                           b=np.array([-0.0]), w_out=np.array([[1e16, 0.7, -1.25]]))
+        model = FrscnModel(
+            rule_bank=FuzzyRuleBank(centers=np.array([[0.2, -0.4]]),
+                                    widths=np.array([[1.5, 0.3]])),
+            sub_reservoirs=(res,),
+            normalization=NormalizationStats(
+                input_min=np.array([-1.0, 0.0]), input_max=np.array([1.0, 2.0]),
+                target_min=np.array([-3.0]), target_max=np.array([3.0]), enabled=True),
+            metadata={"kind": "frscn", "q": 1},
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b'{"version": "frscn-1", "metadata": {"kind": "frscn", "q": 1}, "normalization": '
+            b'{"enabled": true, "input_min": [-1.0, 0.0], "input_max": [1.0, 2.0], '
+            b'"target_min": [-3.0], "target_max": [3.0]}, "rule_bank": {"centers": '
+            b'[[0.2, -0.4]], "widths": [[1.5, 0.3]]}, "sub_reservoirs": [{"w_in": '
+            b'[[0.1, -0.3333333333333333]], "w_r": [[2.5e-300]], "b": [-0.0], "w_out": '
+            b'[[1e+16, 0.7, -1.25]], "activation": "tanh", "alpha": 0.9}]}'
+        )
+
     def test_trained_model_round_trip(self, tmp_path, plant_train):
         model, _ = train_frscn(plant_train, q=2, sc_cfg=ScConfig(n_max=8), seed=1)
         path = tmp_path / "model.json"
