@@ -126,7 +126,9 @@ def load_config_file(path) -> dict:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str):
-    parser.add_argument("--config", help="JSON config file of any keys; flags override it")
+    parser.add_argument("--config", help="JSON config file of any keys; flags override it"
+                        if COMMAND_KEYS[command] else
+                        f"JSON config file of any keys, only checked: {command} reads none")
     for key, parse, default, help_text in CONFIG_SPEC:
         if key in COMMAND_KEYS[command]:
             flag = "--" + key.replace(".", "-").replace("_", "-")

@@ -89,12 +89,13 @@ def _summarize(results: list) -> TrialSummary:
 def run_single_trial(
     train: TimeSeriesDataset,
     val: TimeSeriesDataset,
-    test: TimeSeriesDataset,
+    test: TimeSeriesDataset | None = None,
     model_kind: str = "frscn",
     seed: int = 0,
     **train_kw,
 ):
-    """Train one model and score it on all three splits.
+    """Train one model and score it on the splits given; test_nrmse is NaN
+    without a test split.
 
     Returns (model, reports, TrialResult). train_kw goes to train_model,
     where model_kind "rscn" and "esn" are the q == 1 aliases of "frscn" and
@@ -111,7 +112,7 @@ def run_single_trial(
         seed=seed,
         train_nrmse=score(train),
         val_nrmse=score(val),
-        test_nrmse=score(test),
+        test_nrmse=float("nan") if test is None else score(test),
         node_counts=[res.n_nodes for res in model.sub_reservoirs],
         wall_time=elapsed,
     )
@@ -121,7 +122,7 @@ def run_single_trial(
 def run_trials(
     train: TimeSeriesDataset,
     val: TimeSeriesDataset,
-    test: TimeSeriesDataset,
+    test: TimeSeriesDataset | None = None,
     model_kind: str = "frscn",
     n_trials: int = 10,
     base_seed: int = 0,
@@ -130,7 +131,8 @@ def run_trials(
 ):
     """Seeded repetition: trial k runs at seed base_seed + k on fixed data.
 
-    train_kw goes to train_model through run_single_trial. Failures are
+    train_kw goes to train_model through run_single_trial, which scores no
+    test split when test is None. Failures are
     recorded per trial and excluded from the summary. Returns (results,
     summary) or (results, summary, reports_per_trial).
     """
@@ -194,7 +196,8 @@ def grid_search(
 
     Each cell sets q and the reservoir size, sc_cfg.n_max or esn_cfg.n_nodes;
     train_kw (fcm_cfg, normalize) goes to train_model through run_trials, with
-    val as its test split. The q = 1 aliases "rscn" and "esn" raise ConfigError.
+    no test split, so a trial predicts val once. The q = 1 aliases "rscn"
+    and "esn" raise ConfigError.
 
     Ties break toward the smaller reservoir size, then the smaller rule
     count. Cells whose trials all fail are marked NaN and never selected.
@@ -212,7 +215,7 @@ def grid_search(
     for iq, qi in enumerate(q_values):
         for jn, ni in enumerate(n_values):
             _, summary = run_trials(
-                train, val, val, model_kind, q=qi,
+                train, val, None, model_kind, q=qi,
                 sc_cfg=replace(sc_cfg, n_max=ni),
                 esn_cfg=replace(esn_cfg, n_nodes=ni),
                 n_trials=trials_per_cell, base_seed=base_seed, **train_kw,

@@ -43,13 +43,15 @@ class FuzzyRuleBank:
     """Q Gaussian rules: centers and strictly positive widths, both Q x K.
 
     _centers and _widths are the same arrays as Q x K x 1, broadcast once
-    against K x n inputs.
+    against K x n inputs. Inputs with max|u| < unguarded_limit cannot
+    overflow the strengths, which unguarded_strengths then computes unguarded.
     """
 
     centers: np.ndarray
     widths: np.ndarray
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
     _widths: np.ndarray = field(init=False, repr=False, compare=False)
+    unguarded_limit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -64,6 +66,10 @@ class FuzzyRuleBank:
             raise ValueError("all widths must be strictly positive")
         object.__setattr__(self, "_centers", centers[:, :, None])
         object.__setattr__(self, "_widths", widths[:, :, None])
+        # Below this max|u|, every |z| = |u - c| / w < 1e150, so z^2 cannot
+        # overflow; the cap at 1e300 keeps u - c finite for rules wider than 1e150.
+        object.__setattr__(self, "unguarded_limit", min(1e150 * float(widths.min()), 1e300)
+                           - float(np.abs(centers).max()))
 
     @property
     def n_rules(self) -> int:
@@ -93,6 +99,17 @@ class FuzzyRuleBank:
                 log_psi[:, far] = np.where(d == d.min(axis=0), 0.0, -np.inf)
                 top[far] = 0.0
         stable = np.exp(log_psi - top)
+        return stable / np.add.accumulate(stable, axis=0)[-1]
+
+    def unguarded_strengths(self, u: np.ndarray) -> np.ndarray:
+        """strengths of one K x 1 column with max|u| < unguarded_limit, bit for
+        bit: the same operations in the same order, with no overflow guard."""
+        z = u.T - self.centers
+        z /= self.widths
+        z *= z
+        d = np.add.accumulate(z, axis=1)[:, -1:]
+        # strengths' (-d) - max(-d) is min(d) - d exactly
+        stable = np.exp(np.subtract(d.min(axis=0), d))
         return stable / np.add.accumulate(stable, axis=0)[-1]
 
 

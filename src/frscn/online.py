@@ -98,7 +98,8 @@ def online_step(st: OnlineState, g_n: np.ndarray, t_n: np.ndarray):
         prior_lhs = st.a * l_u
         prior_lhs.flat[:: m.shape[0] + 1] += 1.0 - st.a
         e_s = np.linalg.solve(prior_lhs, (t - st.theta @ g).T).T
-        y = np.linalg.solve(l_u, hg.T)
+        # inverting the b x b factor and one gemm beat a general solve with D right sides
+        y = np.linalg.inv(l_u) @ hg.T
         k_t = y / (d * d)[:, None]
         theta = st.theta + st.a * (e_s @ k_t)
         # K Y as a gemm of two distinct arrays (X^T X would run as a slower syrk)

@@ -456,6 +456,13 @@ class TestHelpSurface:
         assert sum(map(len, expected.values())) == 49
         assert set().union(*expected.values()) == set(flag)
 
+    def test_config_help_says_a_command_without_keys_only_checks_the_file(self, capsys):
+        for command, only_checked in (("predict", True), ("eval", False), ("train", False)):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert ("only checked: predict reads none" in text) == only_checked, command
+
     @pytest.mark.parametrize("command, flags", [
         ("predict", ["--sc-n-max", "5"]),
         ("eval", ["--seed", "3"]),

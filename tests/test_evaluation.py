@@ -119,6 +119,17 @@ class TestRunTrials:
         assert model.n_rules == 1
         assert len(result.node_counts) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_test_split_scores_no_test(self, small_task):
+        train, val, test = small_task
+        results, summary = run_trials(train, val, None, "fesn", q=1, esn_cfg=FAST_ESN,
+                                      n_trials=2, base_seed=0)
+        with_test, _ = run_trials(train, val, test, "fesn", q=1, esn_cfg=FAST_ESN,
+                                  n_trials=2, base_seed=0)
+        assert all(math.isnan(r.test_nrmse) for r in results)
+        assert math.isnan(summary.mean_test) and summary.n_ok == 2
+        assert [r.val_nrmse for r in results] == [r.val_nrmse for r in with_test]
+
     def test_summary_mean_matches_arithmetic_mean(self, small_task):
         train, val, test = small_task
         results, summary = run_trials(train, val, test, "fesn", q=1, esn_cfg=FAST_ESN,
@@ -148,6 +159,21 @@ class TestGridSearch:
                              trials_per_cell=1)
         assert result.best_n == 25
         assert result.best_q == 1
+
+    def test_a_trial_predicts_the_validation_split_once(self, small_task, monkeypatch):
+        train, val, _ = small_task
+        predicted, real_predict = [], ev.predict
+
+        def counting_predict(model, inputs):
+            predicted.append(inputs)
+            return real_predict(model, inputs)
+
+        monkeypatch.setattr(ev, "predict", counting_predict)
+        grid_search(train, val, q_values=[1, 2], n_values=[6], sc_cfg=FAST_SC,
+                    trials_per_cell=2, base_seed=0)
+        # 2 cells x 2 trials, each predicting train and val once
+        assert sum(u is val.inputs for u in predicted) == 4
+        assert sum(u is train.inputs for u in predicted) == 4
 
     def test_empty_axes_rejected(self, small_task):
         train, val, _ = small_task

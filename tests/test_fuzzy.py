@@ -209,6 +209,32 @@ class TestFireStrengths:
             assert abs(phi.sum() - 1.0) < 1e-12
             assert (phi >= 0).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), q=st.integers(1, 8), k=st.integers(1, 10),
+           # the largest |u|, as a share of the limit: 1 - 1e-9 is just below it
+           reach=st.sampled_from([0.0, 1e-3, 0.5, 1 - 1e-9]))
+    def test_unguarded_strengths_are_the_guarded_ones_below_the_limit(self, data, q, k, reach):
+        finite = st.floats(-1e3, 1e3)
+        bank = FuzzyRuleBank(
+            centers=data.draw(arrays(float, (q, k), elements=finite)),
+            widths=data.draw(arrays(float, (q, k), elements=st.floats(1e-3, 1e2))),
+        )
+        u = data.draw(arrays(float, (k, 1), elements=st.floats(-1, 1)))
+        u[data.draw(st.integers(0, k - 1)), 0] = data.draw(st.sampled_from([-1.0, 1.0]))
+        u *= reach * bank.unguarded_limit
+        assert np.abs(u).max() < bank.unguarded_limit
+        assert np.array_equal(bank.unguarded_strengths(u), bank.strengths(u))
+
+    def test_unguarded_limit(self):
+        # 1e150 times the narrowest width, less the farthest center
+        bank = FuzzyRuleBank(centers=[[0.25, -0.5], [0.0, 0.125]], widths=[[4.0, 2e-150], [1.0, 2.0]])
+        assert bank.unguarded_limit == pytest.approx(2.0 - 0.5)
+        # so wide a rule caps the limit at 1e300, where u - c cannot overflow
+        assert FuzzyRuleBank(centers=[[0.0]], widths=[[1e200]]).unguarded_limit == 1e300
+        # a narrow rule far out leaves no input unguarded
+        assert FuzzyRuleBank(centers=[[1e160]], widths=[[1e-6]]).unguarded_limit < 0
+
     def test_bank_validation(self):
         with pytest.raises(ValueError):
             FuzzyRuleBank(centers=[[0.0]], widths=[[0.0]])

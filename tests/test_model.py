@@ -277,6 +277,55 @@ class TestRuleStackedServing:
                 for got, want in zip(blocks_n, blocks):
                     assert np.all(np.abs(got - want[:, j]) <= 1e-12 * scale[n])
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        activation=st.sampled_from(["tanh", "sigmoid"]),
+        k=st.integers(1, 3),
+        # (step, normalized input as a multiple of the bank's unguarded limit):
+        # well below it, just below, at, just above and far beyond it
+        reach=st.lists(st.tuples(st.integers(0, 59),
+                                 st.sampled_from([0.5, 1 - 1e-9, 1.0, 1 + 1e-9, -1 - 1e-9, 1e6])),
+                       max_size=4),
+        # (step, raw input tried before that step's own, which must be refused)
+        bad=st.lists(st.tuples(st.integers(0, 59), st.sampled_from([np.inf, -np.inf, np.nan, 1e308])),
+                     max_size=3),
+    )
+    def test_session_steps_on_both_sides_of_the_unguarded_limit(self, seed, sizes, activation, k,
+                                                                reach, bad):
+        rng = np.random.default_rng(seed)
+        model = ragged_model(rng, sizes, activation, k=k)
+        n_steps = 60
+        u = rng.uniform(-1, 1, (k, n_steps))
+        for n, share in reach:
+            u[n % k, n] = share * model.rule_bank.unguarded_limit
+        inputs = model.normalization.input_map.backward(u)
+        batch = predict(model, inputs)
+        [(_, phi_batch, blocks_batch)] = feature_chunks(model, inputs)
+        stepper, featurer = model.session(), model.session()
+        refused = dict(bad)
+        for n in range(n_steps):
+            if n in refused:
+                value = inputs[:, n].copy()
+                value[-1] = refused[n]
+                before = stepper._design.copy()
+                for advance in (stepper.step, featurer.features):
+                    with pytest.raises(InputRangeError, match="not finite after normalization"):
+                        advance(value)
+                assert np.array_equal(stepper._design, before)
+            y = stepper.step(inputs[:, n])
+            phi, blocks = featurer.features(inputs[:, n])
+            # step and features advance one state: bit for bit, after every step
+            assert np.array_equal(stepper._design, featurer._design)
+            # outputs and blocks are linear in u(n): compare at the scale of the input
+            scale = 1.0 + np.abs(inputs[:, n]).max()
+            assert np.all(np.abs(y - batch[:, n]) <= 1e-12 * scale)
+            assert np.all(np.abs(phi - phi_batch[:, n]) <= 1e-12)
+            for got, want in zip(blocks, blocks_batch):
+                assert np.all(np.abs(got - want[:, n]) <= 1e-12 * scale)
+
     def test_stacked_weights_are_read_only(self):
         model = ragged_model(np.random.default_rng(14), (2, 3))
         for arr in (model.w_in, model.w_r, model.b, model.w_out):
