@@ -78,7 +78,7 @@ CONFIG_SPEC = [
 ]
 # The keys each command reads, and so the flags it takes; gridsearch sets q and
 # the reservoir size from --q-list and --n-list.
-COMMAND_KEYS = {"gen-data": ["seed", "washout"], "predict": [], "eval": ["washout"],
+COMMAND_KEYS = {"gen-data": ["seed"], "predict": [], "eval": ["washout"],
                 "online": ["washout", "online.a", "online.c"],
                 "train": [key for key, *_ in CONFIG_SPEC if not key.startswith("online.")]}
 COMMAND_KEYS["gridsearch"] = [key for key in COMMAND_KEYS["train"]
@@ -164,12 +164,11 @@ def cmd_gen_data(args, cfg) -> int:
     if len(sizes) != 3:
         raise ConfigError("--sizes must be three counts >= 5, e.g. 2000,1000,1000")
     seed = cfg["seed"]
-    washout = cfg["washout"]
     # the deterministic benchmark input is defined only for 1000 steps
     modes = {"train": "train-random", "val": "train-random",
              "test": "paper-test" if sizes[2] == 1000 else "train-random"}
     splits = {name: ds_mod.generate_plant_sequence(size, mode=modes[name], seed=seed + k,
-                                                   washout=min(washout, size - 1))
+                                                   washout=0)
               for k, (name, size) in enumerate(zip(modes, sizes))}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +180,6 @@ def cmd_gen_data(args, cfg) -> int:
         )
     meta = {
         "seed": seed,
-        "washout": washout,
         "sizes": sizes,
         "modes": modes,
         "input_columns": ["y", "u"],

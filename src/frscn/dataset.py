@@ -125,8 +125,6 @@ def generate_plant_sequence(
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, n_samples)
     elif mode == "paper-test":
-        if n_samples != 1000:
-            raise ValueError("mode 'paper-test' requires n_samples == 1000")
         u = benchmark_test_input(n_samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -160,6 +158,7 @@ def load_csv(
     Lagged-regressor construction is the caller's responsibility; nothing is
     inferred from the data. Blank rows are ignored; a cell that does not parse
     raises CsvParseError naming its line in the file (the header is row 1).
+    The washout is checked by TimeSeriesDataset, as for every dataset.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -190,16 +189,12 @@ def load_csv(
                                         f"cannot parse {cell!r}") from None
 
     columns = {col: parse_column(col) for col in set(needed)}
-    max_lag = max((lag for _, lag in shifts), default=0)
-    if max_lag < 0 or any(lag < 1 for _, lag in shifts):
+    if any(lag < 1 for _, lag in shifts):
         raise ValueError("shift lags must be >= 1")
-
+    max_lag = max((lag for _, lag in shifts), default=0)
     n_rows = len(rows)
-    if n_rows - max_lag < washout + 2:
-        raise ValueError(
-            f"{path}: {n_rows} data rows (minus {max_lag} for lags) is too few "
-            f"for washout {washout}"
-        )
+    if n_rows <= max_lag:
+        raise ValueError(f"{path}: needs more than {max_lag} data rows, has {n_rows}")
 
     input_rows = [columns[c][max_lag:] for c in input_columns]
     input_rows += [columns[c][max_lag - lag : n_rows - lag] for c, lag in shifts]

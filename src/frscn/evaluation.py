@@ -197,7 +197,7 @@ def grid_search(
     Each cell sets q and the reservoir size, sc_cfg.n_max or esn_cfg.n_nodes;
     train_kw (fcm_cfg, normalize) goes to train_model through run_trials, with
     no test split, so a trial predicts val once. The q = 1 aliases "rscn"
-    and "esn" raise ConfigError.
+    and "esn", and an axis that repeats a value, raise ConfigError.
 
     Ties break toward the smaller reservoir size, then the smaller rule
     count. Cells whose trials all fail are marked NaN and never selected.
@@ -206,6 +206,9 @@ def grid_search(
     n_values = list(n_values)
     if not q_values or not n_values:
         raise ValueError("grid axes must be nonempty")
+    for axis, values in (("q", q_values), ("n", n_values)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"grid axis {axis} repeats a value: {values}")
     if model_kind.lower() in ("rscn", "esn"):
         raise ConfigError(f"grid_search varies q, which model kind {model_kind!r} fixes at 1")
     sc_cfg = sc_cfg or ScConfig()

@@ -88,9 +88,8 @@ class FuzzyRuleBank:
             # K x 1 input would round differently from one column of a K x n input.
             log_psi = -np.add.accumulate(z**2, axis=1)[:, -1]
             top = log_psi.max(axis=0)
-            # one column (a session step) needs no reduction; fmin skips the NaN
-            # of a NaN input
-            if (top[0] if top.shape[0] == 1 else np.fmin.reduce(top)) == -np.inf:
+            # fmin skips the NaN of a NaN input
+            if np.fmin.reduce(top) == -np.inf:
                 # rank the distances with z scaled into [-1, 1]; inf / inf counts as 1
                 far = top == -np.inf
                 a = np.abs(z[:, :, far])

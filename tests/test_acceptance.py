@@ -200,7 +200,7 @@ def test_criterion_06_online_convergence():
 def test_criterion_07_q1_reduction_bit_identical(tmp_path):
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--out", str(data_dir), "--sizes", "300,100,100",
-                 "--seed", "1", "--washout", "50"]) == 0
+                 "--seed", "1"]) == 0
     fast = ["--sc-n-max", "12", "--sc-g-max", "30", "--washout", "50", "--seed", "5"]
     pred_files = []
     for kind, q_flags in (("frscn", ["--q", "1"]), ("rscn", [])):

@@ -28,8 +28,7 @@ def run(argv):
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    code = run(["gen-data", "--out", str(out), "--sizes", "400,200,200",
-                "--seed", "3", "--washout", "40"])
+    code = run(["gen-data", "--out", str(out), "--sizes", "400,200,200", "--seed", "3"])
     assert code == 0
     return out
 
@@ -437,14 +436,35 @@ class TestPredictUnlabeled:
                     "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 31
 
+    def test_one_row_csv_predicts_one_row(self, small_model, data_dir, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join((data_dir / "test.csv").read_text().splitlines()[:2]) + "\n")
+        out = tmp_path / "p.csv"
+        assert run(["predict", "--model", str(small_model), "--data", str(one),
+                    "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("1,")
+
+    @pytest.mark.parametrize("rows, flags", [(0, []), (3, ["--shift", "u:3"])])
+    def test_too_short_for_its_lags_exits_1_naming_the_file(self, small_model, data_dir,
+                                                              tmp_path, capsys, rows, flags):
+        short = tmp_path / "short.csv"
+        lines = (data_dir / "test.csv").read_text().splitlines()[:rows + 1]
+        short.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.csv"
+        assert run(["predict", "--model", str(small_model), "--data", str(short),
+                    "--out", str(out), *flags]) == 1
+        assert f"error: {short}: needs more than" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHelpSurface:
     def test_every_config_key_has_a_flag(self, capsys):
-        # each command takes --config and a flag for exactly the keys it reads, 49 in all
+        # each command takes --config and a flag for exactly the keys it reads, 48 in all
         from frscn.cli import CONFIG_SPEC
         flag = {key: "--" + key.replace(".", "-").replace("_", "-") for key, *_ in CONFIG_SPEC}
         fit = {key for key in flag if not key.startswith("online.")}
-        expected = {"gen-data": {"seed", "washout"}, "train": fit, "predict": set(),
+        expected = {"gen-data": {"seed"}, "train": fit, "predict": set(),
                     "eval": {"washout"}, "online": {"washout", "online.a", "online.c"},
                     "gridsearch": fit - {"q", "sc.n_max", "esn.n_nodes"}}
         config_flags = set(flag.values()) | {"--config"}
@@ -453,7 +473,7 @@ class TestHelpSurface:
                 build_parser().parse_args([command, "--help"])
             shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
             assert shown & config_flags == {flag[key] for key in keys} | {"--config"}, command
-        assert sum(map(len, expected.values())) == 49
+        assert sum(map(len, expected.values())) == 48
         assert set().union(*expected.values()) == set(flag)
 
     def test_config_help_says_a_command_without_keys_only_checks_the_file(self, capsys):
@@ -468,6 +488,7 @@ class TestHelpSurface:
         ("eval", ["--seed", "3"]),
         ("train", ["--online-a", "0.5"]),
         ("gen-data", ["--q", "2"]),
+        ("gen-data", ["--washout", "40"]),  # gen-data writes every row; the readers skip
         ("gridsearch", ["--q", "3"]),  # not read as an abbreviation of --q-list
         ("gridsearch", ["--sc-n-max", "5"]),
         ("gridsearch", ["--test", "VAL"]),
@@ -543,7 +564,7 @@ class TestHelpSurface:
              "--n-list", "6", "--trials", "1", "--out", tmp_path / "grid"],
         ):
             assert run([*map(str, argv), *c]) == 0, argv[0]
-        assert json.loads((d / "meta.json").read_text())["washout"] == 40
+        assert "washout" not in json.loads((d / "meta.json").read_text())
         assert json.loads((tmp_path / "report.json").read_text())["q"] == 2
 
 
@@ -560,6 +581,10 @@ class TestSettingRanges:
         ("train", ["--q", "0"], "q must be >= 1"),
         ("train", ["--seed", "-1"], "seed must be >= 0"),
         ("train", ["--washout", "-5"], "washout -5 out of range for 400 samples"),
+        ("train", ["--washout", "400"], "washout 400 out of range for 400 samples"),
+        ("eval", ["--washout", "200"], "washout 200 out of range for 200 samples"),
+        ("online", ["--washout", "200"], "washout 200 out of range for 200 samples"),
+        ("gridsearch", ["--washout", "200"], "washout 200 out of range for 200 samples"),
         ("train", ["--sc-sparsity-range", "0.1"], "sparsity_range must satisfy"),
         ("gen-data", ["--seed", "-1"], "seed must be >= 0"),
         ("online", ["--online-a", "2"], "a must be in (0, 1]"),
@@ -574,6 +599,9 @@ class TestSettingRanges:
                       "--out-report", tmp_path / "r.json"],
             "online": ["--model", small_model, "--data", data_dir / "val.csv",
                        "--out-model", out, "--out-trace", tmp_path / "t.csv"],
+            "eval": ["--model", small_model, "--data", data_dir / "test.csv", "--report-dir", out],
+            "gridsearch": ["--train", data_dir / "train.csv", "--val", data_dir / "val.csv",
+                           "--q-list", "1", "--n-list", "6", "--trials", "1", "--out", out],
         }[command]
         assert run([command, *map(str, argv), *flags]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
@@ -643,6 +671,8 @@ class TestGridSearchCommand:
         (["--q-list", "1,0"], "--q-list must be comma-separated integers >= 1, got '1,0'"),
         (["--n-list", "-3"], "--n-list must be comma-separated integers >= 1, got '-3'"),
         (["--n-list", "6,"], "--n-list must be comma-separated integers >= 1, got '6,'"),
+        (["--q-list", "1,1"], "grid axis q repeats a value: [1, 1]"),
+        (["--n-list", "6,5,6"], "grid axis n repeats a value: [6, 5, 6]"),
     ])
     def test_bad_grid_flags_exit_2_without_writing(self, data_dir, tmp_path, capsys, flags, message):
         out = tmp_path / "grid"

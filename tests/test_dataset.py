@@ -23,6 +23,7 @@ from frscn import (
     plant_response,
 )
 from frscn.dataset import benchmark_test_input, write_series_csv
+from frscn.errors import ConfigError
 
 
 class TestPlantResponse:
@@ -197,8 +198,14 @@ class TestLoadCsv:
 
     def test_too_few_rows(self, tmp_path):
         path = self.write(tmp_path, "y,u\n1,2\n3,4\n")
-        with pytest.raises(ValueError):
-            load_csv(path, ["y"], ["y"], washout=1)
+        with pytest.raises(ConfigError, match="washout 2 out of range for 2 samples"):
+            load_csv(path, ["y"], ["y"], washout=2)
+
+    def test_shift_longer_than_the_file_names_it(self, tmp_path):
+        path = self.write(tmp_path, "y,u\n1,2\n3,4\n")
+        assert load_csv(path, ["y"], ["u"], shifts=(("y", 1),)).n_samples == 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}: needs more than 2 data rows")):
+            load_csv(path, ["y"], ["u"], shifts=(("y", 2),))
 
     def test_industrial_split_protocol(self, tmp_path):
         # 2394 rows; the first 1500 become the training set by slicing
