@@ -156,8 +156,10 @@ def load_csv(
     delayed by ``lag`` rows as an extra input dimension, and the first
     max-lag rows are dropped so every sample has all its lagged values.
     Lagged-regressor construction is the caller's responsibility; nothing is
-    inferred from the data. Blank rows are ignored; a cell that does not parse
-    raises CsvParseError naming its line in the file (the header is row 1).
+    inferred from the data. A column the load reads must appear in the header
+    exactly once (SchemaError otherwise). Blank rows are ignored; a cell that
+    does not parse raises CsvParseError naming its line in the file (the
+    header is row 1).
     The washout is checked by TimeSeriesDataset, as for every dataset.
     """
     with open(path, newline="") as fh:
@@ -174,6 +176,8 @@ def load_csv(
     for col in needed:
         if col not in col_index:
             raise SchemaError(f"{path}: column {col!r} not found in header {header}")
+        if header.count(col) > 1:  # col_index holds only its last copy
+            raise SchemaError(f"{path}: column {col!r} appears {header.count(col)} times in header")
 
     def parse_column(col: str) -> np.ndarray:
         idx = col_index[col]

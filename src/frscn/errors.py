@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A required CSV column is missing from the header."""
+    """A required CSV column is missing from the header or repeated in it."""
 
 
 class CsvParseError(ValueError):

@@ -125,7 +125,9 @@ class PredictionSession:
 
     Within one session the sub-reservoir states carry across consecutive
     steps. Sessions are single-owner: do not share across threads. Each step
-    writes u(n) into one rule-stacked design buffer [x^i; u] (Q x (N+K) x 1),
+    normalizes u(n) and maps y(n) back in Python float arithmetic, with the
+    normalization's operations in their order and so its bits. It writes
+    u(n) into one rule-stacked design buffer [x^i; u] (Q x (N+K) x 1),
     advances the states in place by one product with it, and the readout
     reads it whole.
     """
@@ -134,9 +136,11 @@ class PredictionSession:
         self.model = model
         q, n, k = model.w_in.shape
         self._n_inputs = k
+        # the maps' constants as Python floats: [lo, safe or span, constant] per dim
         norm = model.normalization
-        self._input_map = norm.input_map if norm.enabled else None
-        self._target_map = norm.target_map if norm.enabled else None
+        imap, tmap = norm.input_map, norm.target_map
+        self._in = np.hstack([imap.lo, imap.safe, imap.constant]).tolist() if norm.enabled else None
+        self._out = np.hstack([tmap.lo, tmap.span, tmap.constant]).tolist() if norm.enabled else None
         # an errstate per step would cost tanh about 2 us; sigmoid needs one
         self._g = quiet_sigmoid if model.activation == "sigmoid" else ACTIVATIONS[model.activation]
         # [W_r | W_in] [x(n-1); u(n)] is W_r x(n-1) + W_in u(n) in one product
@@ -155,24 +159,24 @@ class PredictionSession:
         InputRangeError if the normalized input is not finite; the states are
         then left as they were.
         """
-        # _raw_inputs' check without its conversions: 0.5 us of a 25 us step
-        u = np.asarray(u_raw, dtype=float).reshape(-1, 1)
-        if u.shape[0] != self._n_inputs:
-            raise ValueError(f"expected {self._n_inputs} input dims, got {u.shape[0]}")
-        if self._input_map is not None:
-            u = self._input_map.forward(u)
+        # _raw_inputs' check and AffineMap.forward on Python floats: numpy's
+        # dispatch costs more than K values do, and an overflow gives inf quietly
+        vals = np.asarray(u_raw, dtype=float).ravel().tolist()
+        if len(vals) != self._n_inputs:
+            raise ValueError(f"expected {self._n_inputs} input dims, got {len(vals)}")
+        if self._in is not None:
+            vals = [0.0 if c else 2.0 * (v - lo) / safe - 1.0
+                    for v, (lo, safe, c) in zip(vals, self._in)]
         bank = self.model.rule_bank
         lim = bank.unguarded_limit
-        # max|u| < lim tested in Python: K values cost 1 us less than
-        # np.abs(u).max(), and NaN fails the test too
-        if all(-lim < v < lim for v in u.ravel().tolist()):
-            phi = bank.unguarded_strengths(u)
-        elif np.isfinite(u).all():
-            phi = bank.strengths(u)
-        else:
+        # max|u| < lim tested in Python; NaN fails the test too
+        unguarded = all(-lim < v < lim for v in vals)
+        if not (unguarded or all(map(math.isfinite, vals))):
             raise InputRangeError("input is not finite after normalization: it is non-finite "
                                   "or far outside the training range")
-        self._u_rows[...] = u
+        self._u_rows[..., 0] = vals
+        u = self._u_rows[0]
+        phi = bank.unguarded_strengths(u) if unguarded else bank.strengths(u)
         np.matmul(self._w_step, self._design, out=self._pre)
         self._pre += self._b
         self._g(self._pre, out=self._x)
@@ -192,8 +196,10 @@ class PredictionSession:
         _, phi = self._advance(u_raw)
         # sum_i phi_i W_out^i [x^i; u] as one product over the rules
         np.matmul(self.model.w_out, self._design, out=self._rule_out)
-        y = self._rule_out_lq @ phi
-        return (y if self._target_map is None else self._target_map.backward(y))[:, 0]
+        y = (self._rule_out_lq @ phi)[:, 0]
+        # AffineMap.backward on Python floats, as forward in _advance
+        return y if self._out is None else np.array(
+            [lo if c else (v + 1.0) * span / 2.0 + lo for v, (lo, span, c) in zip(y.tolist(), self._out)])
 
 
 # Time steps per rollout chunk in predict and feature_chunks: bounds the states

@@ -457,6 +457,18 @@ class TestPredictUnlabeled:
         assert f"error: {short}: needs more than" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_input_column_exits_1_naming_it(self, small_model, data_dir, tmp_path,
+                                                      capsys):
+        lines = (data_dir / "test.csv").read_text().splitlines()
+        assert lines[0] == "y,u,y_next"
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("\n".join(f"{line},{line.split(',')[0]}" for line in lines) + "\n")
+        out = tmp_path / "p.csv"
+        assert run(["predict", "--model", str(small_model), "--data", str(repeated),
+                    "--out", str(out)]) == 1
+        assert f"error: {repeated}: column 'y' appears 2 times" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHelpSurface:
     def test_every_config_key_has_a_flag(self, capsys):

@@ -186,6 +186,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="u1"):
             load_csv(path, ["u1"], ["y"])
 
+    def test_repeated_column_it_reads_is_named(self, tmp_path):
+        # {name: index} would keep the last copy and read the fourth column as y
+        path = self.write(tmp_path, "y,u,y_next,y\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: column 'y' appears 2 times")):
+            load_csv(path, ["y", "u"], ["y_next"])
+        # a repeat among columns the load does not read still loads
+        ds = load_csv(path, ["u"], ["y_next"])
+        assert ds.inputs.tolist() == [[2.0, 6.0]] and ds.targets.tolist() == [[3.0, 7.0]]
+
     def test_parse_error_locates_cell(self, tmp_path):
         path = self.write(tmp_path, "y,u\n1,2\n3,oops\n5,6\n")
         with pytest.raises(CsvParseError, match="row 3.*'u'"):

@@ -326,6 +326,47 @@ class TestRuleStackedServing:
             for got, want in zip(blocks, blocks_batch):
                 assert np.all(np.abs(got - want[:, n]) <= 1e-12 * scale)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        l_dims=st.integers(1, 2),
+        normalize=st.booleans(),
+        constant=st.booleans(),
+        raw=st.lists(st.lists(st.one_of(
+            st.sampled_from([1e308, -1e308, np.nan, np.inf, -np.inf, -0.0, 0.0]),
+            st.floats(-5, 4), st.floats()), min_size=3, max_size=3), min_size=1, max_size=8),
+    )
+    def test_session_maps_are_the_affine_maps_bit_for_bit(self, seed, k, l_dims, normalize,
+                                                          constant, raw):
+        rng = np.random.default_rng(seed)
+        model = ragged_model(rng, (3, 5), k=k, l_dims=l_dims)
+        lo_in, lo_t = rng.uniform(-3, 0, k), rng.uniform(-3, 0, l_dims)
+        hi_in, hi_t = lo_in + rng.uniform(0.5, 5, k), lo_t + rng.uniform(0.5, 5, l_dims)
+        if constant:
+            hi_in[0], hi_t[-1] = lo_in[0], lo_t[-1]
+        norm = NormalizationStats(lo_in, hi_in, lo_t, hi_t, enabled=normalize)
+        model = replace(model, normalization=norm)
+        session = model.session()
+        for row in raw:
+            u_raw = np.array(row[:k])
+            u = norm.input_map.forward(u_raw[:, None]) if normalize else u_raw[:, None]
+            before = session._design.copy()
+            # with normalization off a raw 1e308 reaches the readout, whose product
+            # overflows (as predict's does); the maps themselves warn of nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(u).all():
+                    with pytest.raises(InputRangeError):
+                        session.step(u_raw)
+                    assert session._design.tobytes() == before.tobytes()
+                    continue
+                y = session.step(u_raw)
+                blend = session._rule_out_lq @ model.rule_bank.strengths(u)
+            for rows in session._u_rows:
+                assert rows.tobytes() == u.tobytes()
+            want = norm.target_map.backward(blend) if normalize else blend
+            assert y.dtype == np.float64 and y.tobytes() == want[:, 0].tobytes()
+
     def test_stacked_weights_are_read_only(self):
         model = ragged_model(np.random.default_rng(14), (2, 3))
         for arr in (model.w_in, model.w_r, model.b, model.w_out):
