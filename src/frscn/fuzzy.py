@@ -124,12 +124,10 @@ def _memberships(d2: np.ndarray, m: float) -> np.ndarray:
     A point at zero distance from one or more centers gets its membership
     split over the coincident centers (1 when unique).
     """
-    mu = np.zeros_like(d2)
     zero = d2 <= 0.0
     coincident = zero.any(axis=0)
     reg = np.where(d2 > 0, d2, 1.0) ** (-1.0 / (m - 1.0))
-    cols = ~coincident
-    mu[:, cols] = reg[:, cols] / reg[:, cols].sum(axis=0, keepdims=True)
+    mu = reg / np.asfortranarray(reg).sum(axis=0)  # each column summed contiguously
     if coincident.any():
         hits = zero[:, coincident]
         mu[:, coincident] = hits / hits.sum(axis=0, keepdims=True)

@@ -1,16 +1,17 @@
 """Growing the rules' sub-reservoirs in worker processes that live as long as the caller.
 
-``grow_rules`` runs train_sub_reservoir per rule seed on a pool of min(rules,
-usable CPUs) ``python -m frscn.growth`` workers, started by the first call.
-A worker answers each length-prefixed pickled job (train, cfg, seed) on its
-stdin with the pickled (SubReservoir, TrainReport), or the rule's exception,
-on its stdout. It exits when its stdin closes, so it ends with its caller
-even when the caller is killed; an atexit hook kills and reaps it otherwise.
+``grow_rules`` deals the rule seeds round-robin to a pool of min(rules, usable
+CPUs) ``python -m frscn.growth`` workers, started by the first call. A worker
+answers each length-prefixed pickled job (train, cfg, its group of seeds) on
+its stdin with the pickled list of each rule's (SubReservoir, TrainReport),
+or the rule's exception, grown side by side by trainer.grow_group, on its
+stdout. It exits when its stdin closes, so it ends with its caller even when
+the caller is killed; an atexit hook kills and reaps it otherwise.
 
 Each worker's BLAS runs one thread: screening is a Python loop over time
 steps, so processes keep the cores busy where threads could not, and one
 fixed summation order makes the rules independent of the core count and of
-the worker that grew them. Workers are plain subprocesses, not
+the group and worker that grew them. Workers are plain subprocesses, not
 multiprocessing, so a caller's script is never re-imported in a worker.
 """
 
@@ -26,7 +27,7 @@ import subprocess
 import sys
 import threading
 
-from .trainer import train_sub_reservoir
+from .trainer import grow_group
 
 # The directory holding the frscn package: each worker's cwd and first on its PYTHONPATH, so
 # the worker runs the caller's frscn and no module in the caller's cwd shadows frscn or numpy.
@@ -95,37 +96,31 @@ def _stop_pool() -> None:
 def grow_rules(train, cfg, seeds: list) -> list:
     """(SubReservoir, TrainReport) of train_sub_reservoir(train, cfg, seed) per seed, in order.
 
-    The rules wait in one queue, and each goes to whichever of the
-    min(len(seeds), usable_cpus()) workers is free. Once a rule raises, no
-    further rule starts; the rules under way finish, and the exception of the
-    first failing rule in seed order is raised here as itself. A worker that
-    dies raises ChildProcessError naming its exit status and is replaced on
-    the next call. On that error or an interrupt, the busy workers are killed,
-    as their replies would be left in their pipes.
+    Of W = min(len(seeds), usable_cpus()) workers, worker i grows seeds[i::W].
+    A rule that raises leaves its group, whose other rules grow on; the first
+    failing rule's exception in seed order is raised here as itself. A worker
+    that dies raises ChildProcessError naming its exit status and is replaced
+    on the next call. On that error or an interrupt, the busy workers are
+    killed, as their replies would be left in their pipes.
     """
-    with _lock, selectors.DefaultSelector() as busy:  # data: (worker, rule index)
-        idle = _take_workers(min(len(seeds), usable_cpus()))
-        jobs = list(enumerate(seeds))[::-1]  # popped in seed order
+    with _lock, selectors.DefaultSelector() as busy:  # data: (worker, group index)
+        n_groups = min(len(seeds), usable_cpus())
         results = [None] * len(seeds)
         try:
-            while jobs or busy.get_map():
-                while idle and jobs:
-                    proc, (i, seed) = idle.pop(), jobs.pop()
-                    busy.register(proc.stdout, selectors.EVENT_READ, (proc, i))
-                    with contextlib.suppress(BrokenPipeError):  # a dead worker: its stdout ends
-                        _send(proc.stdin, (train, cfg, seed))
+            for i, proc in enumerate(_take_workers(n_groups)):
+                busy.register(proc.stdout, selectors.EVENT_READ, (proc, i))
+                with contextlib.suppress(BrokenPipeError):  # a dead worker: its stdout ends
+                    _send(proc.stdin, (train, cfg, seeds[i::n_groups]))
+            while busy.get_map():
                 for key, _ in busy.select():
                     proc, i = key.data
                     try:
-                        results[i] = _receive(key.fileobj)
+                        results[i::n_groups] = _receive(key.fileobj)
                     except EOFError:
                         raise ChildProcessError(
                             f"rule worker exited with status {proc.wait()}") from None
                     # still busy until its whole reply is read, so a failed read kills it
                     busy.unregister(key.fileobj)
-                    idle.append(proc)
-                    if isinstance(results[i], Exception):
-                        jobs.clear()
         except BaseException:
             for key in busy.get_map().values():
                 _stop(key.data[0])
@@ -143,12 +138,12 @@ def main() -> None:
     os.dup2(2, 1)  # a stray print goes to stderr, not into the replies
     with contextlib.suppress(EOFError, BrokenPipeError):  # the caller has gone
         while True:
-            train, cfg, seed = _receive(sys.stdin.buffer)
+            train, cfg, seeds = _receive(sys.stdin.buffer)
             try:
-                result = train_sub_reservoir(train, cfg, seed)
-            except Exception as exc:  # sent to the caller, which raises it
-                result = exc
-            _send(replies, result)
+                results = grow_group(train, cfg, seeds)
+            except Exception as exc:  # the group's workspace: sent to the caller, which raises it
+                results = [exc] * len(seeds)
+            _send(replies, results)
 
 
 if __name__ == "__main__":

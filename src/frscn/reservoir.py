@@ -91,9 +91,9 @@ def run_recurrence(w_r, activation: str, pre: np.ndarray, x0=None) -> np.ndarray
     feedback = np.empty_like(pre[0])
     with np.errstate(over="ignore"):  # sigmoid's exp(-x) overflows to a 0 state
         for row in pre:
-            feed(w_r, x, out=feedback)
+            feed(w_r, x, feedback)
             row += feedback
-            x = g(row, out=row)
+            x = g(row, row)
     return pre
 
 

@@ -22,8 +22,9 @@ committed with, earlier state rows never change, and the trace is monotone
 by construction.
 A rule's states live only in its time-major design [u(t), 1, x(t-1)], its
 weights only in one store of rows in that column order: a weight scale's
-candidates are screened by one product of the design with their rows and by
-serving's time loop, reservoir.run_recurrence, in its diagonal form.
+candidates are screened by one product of the design with their rows, and the
+rules grown side by side (grow_group) share one pass of serving's time loop,
+reservoir.run_recurrence, in its diagonal form, whose cost is per-step dispatch.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ from .reservoir import ACTIVATIONS, SubReservoir, max_singular_value, run_recurr
 _GUARD_RTOL = 1e-12
 # Candidate pools drawn at a weight scale, in order, and stacked into one batch
 # whose best candidate is judged; the smallest count that passes
-# tools/accuracy_gate.py. The batch gets its pre-activations from one product
-# with the rule's design and is rolled out in one recurrence loop, whose cost
-# is per-step dispatch more than width; each pool adds g_max * n_steps floats
-# to the workspace.
+# tools/accuracy_gate.py. Each pool adds g_max * n_steps floats to the workspace.
 _POOLS_PER_SCALE = 5
 # Top-ranked passing candidates kept per weight scale and tried, in xi order,
 # against the residual guard before the scale is raised.
@@ -176,18 +174,19 @@ def _xi(proj: np.ndarray, energy: np.ndarray, r: float, mu: float) -> np.ndarray
     return proj - (1.0 - mu - r) * energy
 
 
-def _projections(e: np.ndarray, candidate_states) -> np.ndarray:
+def _projections(e: np.ndarray, candidate_states, gg=None) -> np.ndarray:
     """<e_q, g>^2 / <g, g> per candidate (rows) and output (columns); -inf for g = 0.
 
     The products <e_q, g> run in the states' precision, float32 states in
     float32, against e divided by the power of two that brings its largest
     entry into [0.5, 1): exact, and safe from float32's range whatever e's
-    scale. They are squared and scaled back in float64.
+    scale. They are squared and scaled back in float64. gg, each candidate's
+    <g, g>, is computed unless given.
     """
     s = np.atleast_2d(np.asarray(candidate_states))
     s = s.astype(np.result_type(s.dtype, np.float32), copy=False)
     scale = np.ldexp(1.0, np.frexp(np.abs(e).max(initial=0.0))[1])
-    gg = np.einsum("ij,ij->i", s, s)
+    gg = np.einsum("ij,ij->i", s, s) if gg is None else gg
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = (s @ (e / scale).T.astype(s.dtype)).astype(float) ** 2 * scale**2 / gg[:, None]
     proj[gg <= 0.0] = -np.inf
@@ -277,25 +276,28 @@ def _draw_pool(rng, cfg, lam, k, budget, out):
     w_r[over] *= budget / norms[over, None]
 
 
-def _candidate_states(cands, activation, design, work):
-    """States of every candidate of a batch: a T x G view of work, in its dtype.
+def _candidate_states(ticks, activation, work, washout):
+    """Per batch of a tick: its states, a T x G view of work in its dtype, and their gg.
 
-    Row i of cands (G x K + 2 + n) holds candidate i's weights in the
-    design's column order, its own feedback weight last. design is the
-    rule's time-major [u(t), 1, x(t-1)] (T x at least K + 1 + n), so one
-    product of its first K + 1 + n columns with all but the batch's last
-    column gives every candidate's pre-activations; run_recurrence's diagonal
-    form then advances the candidates together, each through its own
-    weight. The product and the loop run in work's dtype, to which both
-    operands are cast. Exact under triangularity: a new node reads only the
-    accepted nodes' states plus its own previous state, so no full re-rollout
-    is needed during screening. The view is valid until the next call.
+    A tick holds (cands, design) per rule: row i of cands (G x K + 2 + n) is
+    candidate i's weights in the column order of design, the rule's
+    [u(t), 1, x(t-1)] (T x at least K + 1 + n), its own feedback weight last.
+    One product per batch fills its block of work's columns; run_recurrence's
+    diagonal form, elementwise, steps every block together in work's dtype,
+    to which all operands are cast. gg, each candidate's <g, g> over rows
+    washout:, is summed in time order by one pass over whole rows. Exact under
+    triangularity: a new node reads only the accepted nodes' states plus its
+    own previous state. The views are valid until the next call.
     """
-    weights = cands[:, :-1].astype(work.dtype)
-    out = np.matmul(design[:, :weights.shape[1]].astype(work.dtype), weights.T,
-                    out=work[:, :weights.shape[0]])
-    self_w = cands[:, -1].astype(work.dtype)  # contiguous: read at every step
-    return run_recurrence(self_w, activation, out)
+    ends = np.cumsum([len(cands) for cands, _ in ticks])
+    spans = [slice(end - len(cands), end) for end, (cands, _) in zip(ends, ticks)]
+    for (cands, design), span in zip(ticks, spans):
+        weights = cands[:, :-1].astype(work.dtype)
+        np.matmul(design[:, :weights.shape[1]].astype(work.dtype), weights.T, out=work[:, span])
+    self_w = np.concatenate([cands[:, -1] for cands, _ in ticks]).astype(work.dtype)  # contiguous
+    post = run_recurrence(self_w, activation, work[:, : ends[-1]])[washout:]
+    gg = np.einsum("ji,ji->i", post, post)
+    return [(work[:, span], gg[span]) for span in spans]
 
 
 def _candidate_rollout(cand, g, design, out) -> None:
@@ -384,12 +386,8 @@ class _QrReadout:
         return float(np.linalg.norm(resid[:, :t_len])), keep
 
 
-def train_sub_reservoir(
-    train: TimeSeriesDataset,
-    cfg: ScConfig,
-    seed: int = 0,
-    accept_hook=None,
-) -> tuple[SubReservoir, TrainReport]:
+def train_sub_reservoir(train: TimeSeriesDataset, cfg: ScConfig, seed: int = 0,
+                        accept_hook=None) -> tuple[SubReservoir, TrainReport]:
     """Grow one sub-reservoir on the full target until tolerance or size cap.
 
     Starts from min(initial_size, n_max) randomly assigned nodes at the
@@ -403,11 +401,11 @@ def train_sub_reservoir(
     float64. The same table, on a try's float64 states, gives its smallest
     passing rung; a try that passes none is skipped. The first try whose
     readout does not raise the residual is accepted, with the r, mu and xi
-    of its float64 rung. The next scale is tried only when no
-    candidate passes or every try fails. Growth stops at tolerance, at
-    n_max, or when every scale fails ("no-candidate"). Candidate feedback
-    rows are norm-capped up front so the grown matrix never exceeds the
-    alpha singular-value budget: no accepted node is rolled out again.
+    of its float64 rung. The next scale is tried only when no candidate
+    passes or every try fails. Growth stops at tolerance, at n_max, or when
+    every scale fails ("no-candidate"). Candidate feedback rows are
+    norm-capped up front so the grown matrix never exceeds the alpha
+    singular-value budget: no accepted node is rolled out again.
 
     The rule's states live only in its design (T + 1 x K + 1 + n_max). Its
     first T rows give a scale's batch its pre-activations in one product;
@@ -422,11 +420,43 @@ def train_sub_reservoir(
 
     Deterministic: identical (train, cfg, seed) give identical results.
     """
+    (result,) = grow_group(train, cfg, [seed], [accept_hook])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def grow_group(train: TimeSeriesDataset, cfg: ScConfig, seeds: list, accept_hooks=None) -> list:
+    """train_sub_reservoir's result, or the exception it raised, of each seed (and hook).
+
+    The rules grow side by side: each tick, one _candidate_states call screens
+    the batches of the rules not yet stopped. Each rule keeps its own draws,
+    product, tries and readout, so its bytes do not depend on its group.
+    """
+    # each rule's generator, replaced by its result or exception as it leaves the group
+    rules = [_growth(train, cfg, s, h) for s, h in zip(seeds, accept_hooks or [None] * len(seeds))]
+    work = np.empty((train.inputs.shape[1], len(seeds) * _POOLS_PER_SCALE * cfg.g_max),
+                    np.float32 if cfg.activation in _FLOAT32_SCREENS else np.float64)
+    screened = dict.fromkeys(range(len(seeds)))  # rule index: what its last tick screened
+    while screened:
+        ticks = {}
+        for i, states in screened.items():
+            try:
+                ticks[i] = rules[i].send(states)
+            except StopIteration as stop:
+                rules[i] = stop.value
+            except Exception as exc:  # its caller raises it
+                rules[i] = exc
+        screened = ticks and dict(zip(ticks, _candidate_states(ticks.values(), cfg.activation,
+                                                               work, train.washout)))
+    return rules
+
+
+def _growth(train, cfg, seed, accept_hook):
+    """train_sub_reservoir as a generator: each tick yields (batch, design) and takes
+    _candidate_states' (states, gg) of the batch."""
     rng = np.random.default_rng(seed)
-    u = train.inputs
-    t = train.targets
-    washout = train.washout
-    k = train.n_inputs
+    u, t, washout, k = train.inputs, train.targets, train.washout, train.n_inputs
 
     # node i's [w_in, b, w_r row] in row i; entries past the accepted nodes stay zero
     weights = np.zeros((cfg.n_max, k + 1 + cfg.n_max))
@@ -447,15 +477,12 @@ def train_sub_reservoir(
         w_r[:n, :n] *= cfg.alpha / smax
         smax = cfg.alpha
 
-    # Buffers reused by every node: the design [u(t), 1, x(t-1)] with x(-1) = 0,
-    # one row past the series so that nodes[t] = x(t), and the screening workspace.
+    # the design [u(t), 1, x(t-1)] with x(-1) = 0, one row past the series: nodes[t] = x(t)
     design = np.zeros((u.shape[1] + 1, k + 1 + cfg.n_max))
     design[:-1, :k] = u.T
     design[:-1, k] = 1.0
     nodes = design[1:, k + 1 :]
     nodes[:, :n] = reservoir(n).rollout(u).T
-    work = np.empty((u.shape[1], _POOLS_PER_SCALE * cfg.g_max),
-                    np.float32 if cfg.activation in _FLOAT32_SCREENS else np.float64)
 
     def features(n_nodes):  # the post-washout design [states, inputs], T' x n_nodes + K
         return np.hstack([nodes[washout:, :n_nodes], u[:, washout:].T])
@@ -479,15 +506,15 @@ def train_sub_reservoir(
             for pool in np.split(batch, _POOLS_PER_SCALE):
                 _draw_pool(rng, cfg, lam, k, budget, pool)
             counters["pools_screened"] += _POOLS_PER_SCALE
-            cands = _candidate_states(batch, cfg.activation, design[:-1], work)
-            proj = _projections(resid_mat, cands[washout:].T)
+            cands, gg = yield batch, design[:-1]
+            proj = _projections(resid_mat, cands[washout:].T, gg)
             keys = proj.sum(axis=1)
             rungs = _xi_table(resid_mat, proj, ladder, n)[1]
             passing = np.flatnonzero(rungs < len(ladder))
             # a stable sort: of equal keys, the earlier draw stays first
             for idx in passing[np.argsort(-keys[passing], kind="stable")[:_MAX_ACCEPT_TRIES]]:
                 # a skipped or rejected try's column is overwritten or unread
-                if work.dtype == np.float64:
+                if cands.dtype == np.float64:
                     nodes[:, n] = cands[:, idx]
                 else:
                     _candidate_rollout(batch[idx], _FLOAT32_SCREENS[cfg.activation], design[:-1],

@@ -8,6 +8,8 @@ from frscn import DegenerateDataError, FcmConfig, FuzzyRuleBank, fire_strengths,
 from frscn.fuzzy import (
     WIDTH_ABS_FLOOR,
     WIDTH_RANGE_FLOOR,
+    _memberships,
+    _sq_distances,
     fcm_objective,
     fire_strength_matrix,
     run_fcm,
@@ -125,6 +127,36 @@ class TestFcmProperties:
         again = fit_fcm(pts, q, cfg, seed=seed)
         assert np.array_equal(bank.centers, again.centers)
         assert np.array_equal(bank.widths, again.widths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        q=st.integers(1, 15),
+        m=st.sampled_from([1.5, 2.0, 3.0]),
+        coincident=st.integers(0, 15),
+    )
+    def test_memberships_match_the_masked_copies_bit_for_bit(self, seed, k, q, m, coincident):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(k, 40))
+        pts = pts[:, rng.integers(0, 20, 80)]  # every point repeated
+        centers = rng.normal(size=(q, k))
+        # some centers sit on data points, one of them twice: zero distances,
+        # shared by two centers where the point repeats
+        hits = rng.integers(0, 80, min(coincident, q))
+        centers[: len(hits)] = pts[:, hits].T
+        if len(hits) and q > len(hits):
+            centers[len(hits)] = centers[0]
+        d2 = _sq_distances(pts, centers)
+
+        # the first form: the non-coincident columns copied out by a boolean mask
+        mu = np.zeros_like(d2)
+        zero = d2 <= 0.0
+        cols = ~zero.any(axis=0)
+        reg = np.where(d2 > 0, d2, 1.0) ** (-1.0 / (m - 1.0))
+        mu[:, cols] = reg[:, cols] / reg[:, cols].sum(axis=0, keepdims=True)
+        mu[:, ~cols] = zero[:, ~cols] / zero[:, ~cols].sum(axis=0, keepdims=True)
+        assert _memberships(d2, m).tobytes() == mu.tobytes()
 
 
 class TestFireStrengths:

@@ -219,14 +219,37 @@ def test_rules_come_back_in_seed_order_when_workers_finish_out_of_order(
     arrived, receive = [], growth._receive
     monkeypatch.setattr(growth, "_receive", lambda stream: arrived.append(receive(stream)) or arrived[-1])
     cfg = ScConfig(n_max=8)
-    # the first rule's worker sleeps 1 s before it starts; the other grows both others
+    # the groups are [11, 33] and [22]; the first group's worker sleeps 1 s before it starts
     pairs = growth.grow_rules(small_train, cfg, [OnLoad("__import__('time').sleep(1) or 11"), 22, 33])
-    assert arrived[-1] is pairs[0]
+    assert [len(reply) for reply in arrived] == [1, 2]
+    assert arrived[0][0] is pairs[1]
+    assert arrived[1][0] is pairs[0] and arrived[1][1] is pairs[2]
     for (res, report), seed in zip(pairs, [11, 22, 33]):
         ref, ref_report = train_sub_reservoir(small_train, cfg, seed)
-        assert report.accepted_lambda == ref_report.accepted_lambda
-        np.testing.assert_allclose(res.w_in, ref.w_in, rtol=1e-9)
-        np.testing.assert_allclose(res.w_out, ref.w_out, rtol=1e-9)
+        assert report.to_dict() == ref_report.to_dict()
+        for field in ("w_in", "w_r", "b", "w_out"):
+            assert getattr(res, field).tobytes() == getattr(ref, field).tobytes()
+
+
+def test_rules_do_not_depend_on_the_number_of_workers(monkeypatch, small_train, time_limit):
+    cfg, seeds = ScConfig(n_max=8), [3, 4, 5, 6, 7]
+    grown = {}
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(growth, "usable_cpus", lambda: cpus)
+        grown[cpus] = [(report.to_dict(), [a.tobytes() for a in (res.w_in, res.w_r, res.b, res.w_out)])
+                       for res, report in growth.grow_rules(small_train, cfg, seeds)]
+    assert grown[2] == grown[1] and grown[3] == grown[1] and grown[5] == grown[1]
+
+
+def test_first_failing_rule_in_seed_order_raises_whatever_the_groups(monkeypatch, small_train,
+                                                                       time_limit):
+    # seed "x" raises TypeError and seed -1 ValueError, each as its rule starts
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(growth, "usable_cpus", lambda: cpus)
+        with pytest.raises(TypeError):
+            growth.grow_rules(small_train, ScConfig(n_max=8), [1, "x", -1])
+        with pytest.raises(ValueError):
+            growth.grow_rules(small_train, ScConfig(n_max=8), [1, -1, "x"])
 
 
 def test_calls_from_threads_take_turns_on_the_pool(monkeypatch, small_train, time_limit):

@@ -295,41 +295,53 @@ class TestBatchedScreening:
     @given(
         seed=st.integers(0, 2**32 - 1),
         g_max=st.integers(1, 9),
-        n_pools=st.integers(1, 5),
-        n_nodes=st.integers(1, 6),
+        # (pools, accepted nodes) of each rule in the tick
+        rules=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 6)), min_size=1, max_size=3),
         n_inputs=st.integers(1, 2),
         lam=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
         budget=st.floats(0.01, 0.45),
+        washout=st.integers(0, 39),
     )
     def test_every_candidate_matches_a_scalar_recurrence(
-        self, activation, seed, g_max, n_pools, n_nodes, n_inputs, lam, budget
+        self, activation, seed, g_max, rules, n_inputs, lam, budget, washout
     ):
         rng = np.random.default_rng(seed)
         n_steps = 40
-        w_r = np.tril(rng.uniform(-1, 1, (n_nodes, n_nodes)))
-        res = SubReservoir(w_in=rng.uniform(-1, 1, (n_nodes, n_inputs)),
-                           w_r=w_r * (0.8 / max(np.linalg.norm(w_r, 2), 1e-12)),
-                           b=rng.uniform(-1, 1, n_nodes), activation=activation)
-        u = rng.uniform(-1, 1, (n_inputs, n_steps))
-        states = res.rollout(u)
         cfg = ScConfig(g_max=g_max, activation=activation)
-        batch = np.full((n_pools * g_max, n_inputs + 2 + n_nodes), np.nan)
-        for pool in np.split(batch, n_pools):
-            trainer._draw_pool(rng, cfg, lam, n_inputs, budget, pool)
-        assert not np.isnan(batch).any()
-        # columns past K + 1 + n and past the batch's width must never be read
-        design = design_of(u, states, n_inputs + 1 + n_nodes + 3)
-        reference = np.hstack([scalar_candidate_states(res, pool, u, states)
-                               for pool in np.split(batch, n_pools)])
+        ticks, references = [], []
+        for n_pools, n_nodes in rules:
+            w_r = np.tril(rng.uniform(-1, 1, (n_nodes, n_nodes)))
+            res = SubReservoir(w_in=rng.uniform(-1, 1, (n_nodes, n_inputs)),
+                               w_r=w_r * (0.8 / max(np.linalg.norm(w_r, 2), 1e-12)),
+                               b=rng.uniform(-1, 1, n_nodes), activation=activation)
+            u = rng.uniform(-1, 1, (n_inputs, n_steps))
+            states = res.rollout(u)
+            batch = np.full((n_pools * g_max, n_inputs + 2 + n_nodes), np.nan)
+            for pool in np.split(batch, n_pools):
+                trainer._draw_pool(rng, cfg, lam, n_inputs, budget, pool)
+            assert not np.isnan(batch).any()
+            # columns past K + 1 + n and past the batch's width must never be read
+            ticks.append((batch, design_of(u, states, n_inputs + 1 + n_nodes + 3)))
+            references.append(np.hstack([scalar_candidate_states(res, pool, u, states)
+                                         for pool in np.split(batch, n_pools)]))
         # a float32 workspace rounds each pre-activation, of size up to about
         # lam, to about 6e-8 of it, and the contracting recurrence keeps the
         # states within 2e-6 max(lam, 1) (at most 9.5e-6 at lam = 100 over 300
         # random cases)
         for dtype, atol in ((np.float64, 1e-12), (np.float32, 2e-6 * max(lam, 1.0))):
-            work = np.full((n_steps, 5 * g_max), np.nan, dtype)
-            cands = trainer._candidate_states(batch, activation, design, work)
-            assert cands.shape == (n_steps, n_pools * g_max) and cands.dtype == dtype
-            np.testing.assert_allclose(cands, reference, rtol=0, atol=atol)
+            work = np.full((n_steps, 5 * g_max * len(rules)), np.nan, dtype)
+            blocks = trainer._candidate_states(ticks, activation, work, washout)
+            assert len(blocks) == len(ticks)
+            for (batch, design), (cands, gg), reference in zip(ticks, blocks, references):
+                assert cands.shape == (n_steps, len(batch)) and cands.dtype == dtype
+                np.testing.assert_allclose(cands, reference, rtol=0, atol=atol)
+                # <g, g> byte for byte as _projections sums it from the block alone
+                post = cands[washout:].T
+                assert gg.tobytes() == np.einsum("ij,ij->i", post, post).tobytes()
+                # and byte for byte the states of the batch screened alone
+                ((alone, alone_gg),) = trainer._candidate_states(
+                    [(batch, design)], activation, np.full((n_steps, 5 * g_max), np.nan, dtype), washout)
+                assert alone.tobytes() == cands.tobytes() and alone_gg.tobytes() == gg.tobytes()
 
     @pytest.mark.parametrize(
         "kwargs, seed, stop_reason",
@@ -342,35 +354,46 @@ class TestBatchedScreening:
     def test_same_growth_as_one_pool_at_a_time(self, plant_train, monkeypatch, kwargs, seed, stop_reason):
         cfg = ScConfig(**kwargs)
         u = plant_train.inputs
+        seeds = [seed, seed + 100]  # grown side by side, so that each rule's block is its own
+        calls = []
 
-        def one_pool_at_a_time(cands, activation, design, work):
-            # each pool's own three pre-activation products, each pool in its own loop
+        def one_pool_at_a_time(ticks, activation, work, washout):
+            # each rule's pools, each pool with its own three pre-activation products and its own
+            # loop, and each rule's <g, g> summed from its own states
             g = trainer.ACTIVATIONS[activation]
             k = u.shape[0]
-            n = cands.shape[1] - k - 2
-            out = []
-            for pool in np.split(cands, len(cands) // cfg.g_max):
-                pre = pool[:, :k] @ u + pool[:, k, None]
-                pre[:, 1:] += pool[:, k + 1 : -1] @ design[1:, k + 1 : k + 1 + n].T
-                x = np.zeros(len(pool))
-                with np.errstate(over="ignore"):
-                    for t in range(pre.shape[1]):
-                        x = pre[:, t] = g(pre[:, t] + pool[:, -1] * x)
-                out.append(pre.T)
-            return np.hstack(out)
+            blocks = []
+            calls.append(len(ticks))
+            for cands, design in ticks:
+                n = cands.shape[1] - k - 2
+                out = []
+                for pool in np.split(cands, len(cands) // cfg.g_max):
+                    pre = pool[:, :k] @ u + pool[:, k, None]
+                    pre[:, 1:] += pool[:, k + 1 : -1] @ design[1:, k + 1 : k + 1 + n].T
+                    x = np.zeros(len(pool))
+                    with np.errstate(over="ignore"):
+                        for t in range(pre.shape[1]):
+                            x = pre[:, t] = g(pre[:, t] + pool[:, -1] * x)
+                    out.append(pre.T)
+                states = np.hstack(out)
+                blocks.append((states, np.einsum("ij,ij->i", states[washout:].T, states[washout:].T)))
+            return blocks
 
-        res_b, rep_b = train_sub_reservoir(plant_train, cfg, seed=seed)
+        batched = trainer.grow_group(plant_train, cfg, seeds)
         monkeypatch.setattr(trainer, "_candidate_states", one_pool_at_a_time)
-        res_s, rep_s = train_sub_reservoir(plant_train, cfg, seed=seed)
+        single = trainer.grow_group(plant_train, cfg, seeds)
 
-        assert rep_s.stop_reason == rep_b.stop_reason == stop_reason
-        assert rep_b.n_nodes == rep_s.n_nodes == res_b.n_nodes
-        assert rep_b.accepted_lambda == rep_s.accepted_lambda
-        assert rep_b.accepted_r == rep_s.accepted_r
-        assert rep_b.counters == rep_s.counters
-        # the refit amplifies last-bit differences in the states, most over the
-        # near-collinear sigmoid states (2.3e-12 relative in this case)
-        np.testing.assert_allclose(rep_b.residual_trace, rep_s.residual_trace, rtol=1e-11, atol=0)
+        assert calls[0] == len(seeds)
+        assert batched[0][1].stop_reason == stop_reason
+        for (res_b, rep_b), (res_s, rep_s) in zip(batched, single):
+            assert rep_s.stop_reason == rep_b.stop_reason
+            assert rep_b.n_nodes == rep_s.n_nodes == res_b.n_nodes
+            assert rep_b.accepted_lambda == rep_s.accepted_lambda
+            assert rep_b.accepted_r == rep_s.accepted_r
+            assert rep_b.counters == rep_s.counters
+            # the refit amplifies last-bit differences in the states, most over the
+            # near-collinear sigmoid states (2.3e-12 relative in this case)
+            np.testing.assert_allclose(rep_b.residual_trace, rep_s.residual_trace, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize(
         "kwargs, seed",
@@ -396,9 +419,10 @@ class TestBatchedScreening:
             fitted.append(states.copy())
             return fit(states, *args)
 
-        def spy_screen(cands, activation, design, work):
+        def spy_screen(ticks, activation, work, washout):
+            ((cands, design),) = ticks  # a rule grown alone
             designs.append((cands.shape[1] - k - 2, design.copy()))
-            return screen(cands, activation, design, work)
+            return screen(ticks, activation, work, washout)
 
         monkeypatch.setattr(trainer, "fit_readout", spy_fit)
         monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
@@ -411,6 +435,8 @@ class TestBatchedScreening:
         # the readout is fit once, on the committed states, at the end
         assert len(fitted) == 1
         np.testing.assert_allclose(fitted[-1], rollout, rtol=0, atol=1e-12)
+        # one screened tick per weight scale tried
+        assert len(designs) == rep.counters["pools_screened"] // trainer._POOLS_PER_SCALE
         if cfg.initial_size == cfg.n_max:
             assert designs == []
         for n, design in designs:
@@ -435,9 +461,10 @@ class TestBatchedScreening:
         last_batch = {}
         screen = trainer._candidate_states
 
-        def spy_screen(cands, activation, design, work):
+        def spy_screen(ticks, activation, work, washout):
+            ((cands, _),) = ticks  # a rule grown alone
             last_batch[cands.shape[1] - k - 2] = cands.copy()
-            return screen(cands, activation, design, work)
+            return screen(ticks, activation, work, washout)
 
         monkeypatch.setattr(trainer, "_candidate_states", spy_screen)
         res, rep = train_sub_reservoir(plant_train, cfg, seed=seed)
@@ -493,6 +520,72 @@ class TestBatchedScreening:
         assert rep.counters["screen_rung_moves"] == 1
         assert rep.accepted_lambda[0] == rep_ref.accepted_lambda[0]
         assert rep.guard_rejections == 0
+
+
+@pytest.fixture(scope="module")
+def short_series():
+    """A short plant series with K = 1 and with K = 3 inputs."""
+    plant = generate_plant_sequence(200, "train-random", seed=1, washout=20)
+    y, u = plant.inputs
+    return {1: replace(plant, inputs=u[None, :]), 3: replace(plant, inputs=np.vstack([y, u, y * u]))}
+
+
+def grown(train, cfg, groups):
+    """Each seed's (weight bytes, report, accept_hook records), its rule grown in its group."""
+    out = {}
+    for group in groups:
+        hooks = [[] for _ in group]
+        results = trainer.grow_group(train, cfg, group, [
+            lambda e, g, r, mu, h=h: h.append((e.tobytes(), g.tobytes(), r, mu)) for h in hooks])
+        for seed, (res, rep), h in zip(group, results, hooks):
+            out[seed] = ([a.tobytes() for a in (res.w_in, res.w_r, res.b, res.w_out)], rep.to_dict(), h)
+    return out
+
+
+class TestGrowGroup:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6, unique=True),
+        data=st.data(),
+        activation=st.sampled_from(["tanh", "sigmoid"]),
+        k=st.sampled_from([1, 3]),
+        g_max=st.integers(1, 4),
+        n_max=st.integers(1, 8),
+        initial_size=st.integers(1, 8),
+        lambda_grid=st.sampled_from([(0.1,), (0.1, 1.0, 10.0)]),
+        early=st.booleans(),
+    )
+    def test_a_rules_bytes_do_not_depend_on_its_group(self, short_series, seeds, data, activation,
+                                                      k, g_max, n_max, initial_size, lambda_grid,
+                                                      early):
+        train = short_series[k]
+        cfg = ScConfig(n_max=n_max, g_max=g_max, initial_size=initial_size,
+                       lambda_grid=lambda_grid, activation=activation)
+        if early:  # a tolerance that some rules reach sooner than others
+            traces = [train_sub_reservoir(train, cfg, s)[1].residual_trace for s in seeds]
+            cfg = replace(cfg, epsilon=float(np.median([t[len(t) // 2] for t in traces])))
+        order = data.draw(st.permutations(seeds))
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=len(seeds), max_size=len(seeds)))
+        ends = np.cumsum(sizes)
+        groups = [order[end - size : end] for end, size in zip(ends, sizes) if end - size < len(order)]
+        assert grown(train, cfg, groups) == grown(train, cfg, [[s] for s in seeds])
+
+    def test_rules_leave_the_group_at_different_ticks(self, short_series):
+        cfg = ScConfig(n_max=10, g_max=2, lambda_grid=(0.1,), epsilon=1.45)
+        alone = grown(short_series[1], cfg, [[s] for s in range(8)])
+        reasons = {seed: rep["stop_reason"] for seed, (_, rep, _) in alone.items()}
+        assert set(reasons.values()) == {"tolerance", "size-cap", "no-candidate"}
+        assert len({rep["n_nodes"] for _, rep, _ in alone.values()}) > 2
+        assert grown(short_series[1], cfg, [[5, 0, 3], [7, 1, 6, 2], [4]]) == alone
+
+    def test_a_rule_that_raises_leaves_its_group(self, short_series):
+        cfg = ScConfig(n_max=6, g_max=2)
+        results = trainer.grow_group(short_series[1], cfg, [1, -1, 2])
+        assert isinstance(results[1], ValueError)
+        alone = [train_sub_reservoir(short_series[1], cfg, seed) for seed in (1, 2)]
+        for (res, rep), (ref, ref_rep) in zip(results[::2], alone):
+            assert rep.to_dict() == ref_rep.to_dict()
+            assert res.w_out.tobytes() == ref.w_out.tobytes()
 
 
 class TestQrReadout:
